@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Pre-PR gate (docs/testing.md): the tier-1 suite, the bounded tier-2 smoke
-# subset, and tier-1 again under AddressSanitizer -- one command, fails fast.
+# subset, and tier-1 again under AddressSanitizer and under
+# UndefinedBehaviorSanitizer -- one command, fails fast.
 #
 #   scripts/check.sh            # full gate
-#   SKIP_ASAN=1 scripts/check.sh  # skip the sanitizer build (quick local loop)
+#   SKIP_ASAN=1 scripts/check.sh  # skip the sanitizer builds (quick local loop)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +33,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # pin the scalar checksum against the same vectors the SSE4.2 path passed
   # in the default run -- so a hardware/scalar divergence fails the gate).
   COLZA_DES_QUEUE=heap COLZA_SIMD=off ctest --preset asan-tier1
+  # Tier 1 under UBSan: the preset aborts on the first report, so any
+  # undefined behaviour on a tested path fails the gate.
+  cmake --preset ubsan >/dev/null
+  cmake --build --preset ubsan -j "$jobs"
+  ctest --preset ubsan-tier1
 fi
 
 echo "check.sh: all green"

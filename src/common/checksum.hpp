@@ -3,10 +3,11 @@
 //
 // Two implementations, selected at runtime via the common/simd.hpp dispatch
 // policy: a hardware path using the SSE4.2 `crc32` instruction and a scalar
-// table fallback. CRC is an exact function of the input, so -- unlike the
-// floating-point kernels the SIMD policy was written for -- the two paths are
-// bit-identical by construction; COLZA_SIMD=off still forces the scalar path
-// so CI can cross-check them (scripts/check.sh) and perf runs can bisect.
+// slice-by-8 table fallback. CRC is an exact function of the input, so --
+// unlike the floating-point kernels the SIMD policy was written for -- the
+// two paths are bit-identical by construction; COLZA_SIMD=off still forces
+// the scalar path so CI can cross-check them (scripts/check.sh) and perf
+// runs can bisect.
 //
 // The checksum is computed over the serialized dataset bytes at stage time,
 // carried on StageMetadata / replica frames, and re-verified at every read
@@ -28,26 +29,48 @@ namespace colza::common {
 
 namespace detail {
 
-// Reflected-polynomial table, generated at compile time.
-consteval std::array<std::uint32_t, 256> crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables, generated at compile time. Table 0 is the classic
+// reflected-polynomial byte table; table k advances a byte's contribution
+// past k further zero bytes, so one step folds eight input bytes.
+consteval std::array<std::array<std::uint32_t, 256>, 8> crc32c_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82F63B78u : 0u);
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-inline constexpr std::array<std::uint32_t, 256> kCrc32cTable = crc32c_table();
+inline constexpr auto kCrc32cTables = crc32c_tables();
+
+// Four input bytes as a little-endian word, whatever the host byte order.
+inline std::uint32_t load_le32(const std::byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 inline std::uint32_t crc32c_scalar(const std::byte* data, std::size_t n,
                                    std::uint32_t crc) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = (crc >> 8) ^
-          kCrc32cTable[(crc ^ static_cast<std::uint32_t>(data[i])) & 0xFFu];
+  const auto& t = kCrc32cTables;
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(data) ^ crc;
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ static_cast<std::uint32_t>(*data)) & 0xFFu];
   }
   return crc;
 }

@@ -9,9 +9,14 @@
 // images and timelines are bit-identical either way. COLZA_SIMD=off forces
 // the scalar path for perf bisection and for CI cross-checking.
 //
-// Kernels dominated by libm transcendentals (the Mandelbulb distance
-// estimator: pow/acos/atan2) stay scalar by policy -- a vector math library
-// would change ulps and break render-hash determinism.
+// Kernels dominated by libm transcendentals (the Mandelbulb escape loop:
+// pow/acos/atan2/sin/cos) stay scalar libm by policy -- a vector math
+// library would change ulps and break render-hash determinism. That kernel
+// instead does less work exactly: its first step is computed once per
+// block, and an orbit exits as soon as its state repeats bitwise
+// (apps/mandelbulb.cpp). The rasterizer's 4-lane edge test is plain SSE2
+// (the GCC/Clang vector extension on the x86-64 baseline) with the scalar
+// operation tree per lane, so it needs no dispatch and no toggle.
 #pragma once
 
 #include <cstdlib>

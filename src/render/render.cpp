@@ -127,11 +127,15 @@ namespace {
 struct ProjectedVertex {
   float x = 0, y = 0;  // screen coordinates
   float z = 0;         // depth in [0,1]
-  float inv_w = 0;
   Vec3 normal;
   float scalar = 0;
   bool ok = false;  // in front of the near plane
 };
+
+// Four float / int32 lanes (GCC/Clang vector extension; SSE2 on x86-64).
+using F32x4 = float __attribute__((vector_size(16)));
+using I32x4 = std::int32_t __attribute__((vector_size(16)));
+constexpr I32x4 kLaneOffsets{0, 1, 2, 3};
 
 struct CameraBasis {
   Vec3 forward, right, up;
@@ -171,7 +175,6 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
     v.y = (0.5f - py * 0.5f) * static_cast<float>(fb.height);
     v.z = std::clamp((zc - cam.near_plane) / (cam.far_plane - cam.near_plane),
                      0.0f, 1.0f);
-    v.inv_w = 1.0f / zc;
     v.normal = idx < mesh.normals.size() ? mesh.normals[idx] : Vec3{0, 0, 1};
     v.scalar = idx < mesh.scalars.size() ? mesh.scalars[idx] : 0.0f;
     v.ok = true;
@@ -198,29 +201,44 @@ void rasterize(FrameBuffer& fb, const vis::TriangleMesh& mesh,
     const int ymax = std::min(fb.height - 1,
                               static_cast<int>(std::ceil(std::max({v0.y, v1.y, v2.y}))));
 
+    // Depth test and shading of one covered pixel.
+    auto plot = [&](int x, int y, float w0, float w1, float w2) {
+      const float z = w0 * v0.z + w1 * v1.z + w2 * v2.z;
+      const std::size_t p = static_cast<std::size_t>(y) *
+                                static_cast<std::size_t>(fb.width) +
+                            static_cast<std::size_t>(x);
+      if (z >= fb.depth[p]) return;
+      const Vec3 n = (v0.normal * w0 + v1.normal * w1 + v2.normal * w2)
+                         .normalized();
+      const float scalar = w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
+      const Vec3 base = cmap.map(scalar);
+      const float shade = 0.25f + 0.75f * std::abs(n.dot(light));
+      fb.depth[p] = z;
+      fb.rgba[p * 4 + 0] = base.x * shade;
+      fb.rgba[p * 4 + 1] = base.y * shade;
+      fb.rgba[p * 4 + 2] = base.z * shade;
+      fb.rgba[p * 4 + 3] = 1.0f;
+    };
+
+    // Edge functions for four pixels of a row at once. Every lane evaluates
+    // the scalar operation tree of one pixel (same association, no FMA), so
+    // the weights are bit-identical to a one-pixel-at-a-time walk. A pixel
+    // is kept unless a weight compares below zero, so NaN weights pass.
     for (int y = ymin; y <= ymax; ++y) {
-      for (int x = xmin; x <= xmax; ++x) {
-        const float cx = static_cast<float>(x) + 0.5f;
-        const float cy = static_cast<float>(y) + 0.5f;
-        const float w0 = ((v1.x - cx) * (v2.y - cy) - (v2.x - cx) * (v1.y - cy)) * inv_area;
-        const float w1 = ((v2.x - cx) * (v0.y - cy) - (v0.x - cx) * (v2.y - cy)) * inv_area;
-        const float w2 = 1.0f - w0 - w1;
-        if (w0 < 0 || w1 < 0 || w2 < 0) continue;
-        const float z = w0 * v0.z + w1 * v1.z + w2 * v2.z;
-        const std::size_t p = static_cast<std::size_t>(y) *
-                                  static_cast<std::size_t>(fb.width) +
-                              static_cast<std::size_t>(x);
-        if (z >= fb.depth[p]) continue;
-        const Vec3 n = (v0.normal * w0 + v1.normal * w1 + v2.normal * w2)
-                           .normalized();
-        const float scalar = w0 * v0.scalar + w1 * v1.scalar + w2 * v2.scalar;
-        const Vec3 base = cmap.map(scalar);
-        const float shade = 0.25f + 0.75f * std::abs(n.dot(light));
-        fb.depth[p] = z;
-        fb.rgba[p * 4 + 0] = base.x * shade;
-        fb.rgba[p * 4 + 1] = base.y * shade;
-        fb.rgba[p * 4 + 2] = base.z * shade;
-        fb.rgba[p * 4 + 3] = 1.0f;
+      const float cy = static_cast<float>(y) + 0.5f;
+      for (int x = xmin; x <= xmax; x += 4) {
+        const I32x4 xs = x + kLaneOffsets;
+        const F32x4 cx = __builtin_convertvector(xs, F32x4) + 0.5f;
+        const F32x4 w0 =
+            ((v1.x - cx) * (v2.y - cy) - (v2.x - cx) * (v1.y - cy)) * inv_area;
+        const F32x4 w1 =
+            ((v2.x - cx) * (v0.y - cy) - (v0.x - cx) * (v2.y - cy)) * inv_area;
+        const F32x4 w2 = (1.0f - w0) - w1;
+        const I32x4 keep = ~((w0 < 0) | (w1 < 0) | (w2 < 0)) & (xs <= xmax);
+        if ((keep[0] | keep[1] | keep[2] | keep[3]) == 0) continue;
+        for (int lane = 0; lane < 4; ++lane) {
+          if (keep[lane] != 0) plot(x + lane, y, w0[lane], w1[lane], w2[lane]);
+        }
       }
     }
   }

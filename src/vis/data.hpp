@@ -52,6 +52,7 @@ class DataArray {
   static DataArray make(std::string name, std::span<const T> values,
                         std::uint32_t components = 1) {
     DataArray a(std::move(name), data_type_of<T>(), components);
+    if (values.empty()) return a;  // memcpy from a null data() is UB
     a.bytes_.resize(values.size() * sizeof(T));
     std::memcpy(a.bytes_.data(), values.data(), a.bytes_.size());
     return a;

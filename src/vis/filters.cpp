@@ -54,15 +54,29 @@ void emit_triangle(TriangleMesh& out, const EdgeVertex& a, const EdgeVertex& b,
     out.normals.push_back(v->normal);
     out.scalars.push_back(v->color);
   }
-  out.triangles.insert(out.triangles.end(), {base, base + 1, base + 2});
+  out.triangles.push_back(base);
+  out.triangles.push_back(base + 1);
+  out.triangles.push_back(base + 2);
 }
 
-// Contours one tetrahedron given its four corners.
-void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
-               float iso) {
+// Interpolated edge vertices of one cell, keyed by the directed pair of
+// cube corners (interpolate(a, b) and interpolate(b, a) round differently).
+// The six tetrahedra of a cell share most of their edges, so each directed
+// edge is interpolated once per cell.
+struct EdgeCache {
+  std::array<EdgeVertex, 64> vertex;
+  std::uint64_t valid = 0;
+};
+
+// Contours one tetrahedron (four cube-corner indices) of the cell whose
+// corners are `corners`.
+void march_tet(TriangleMesh& out, const std::array<Corner, 8>& corners,
+               const std::array<int, 4>& tet, EdgeCache& cache, float iso) {
   int mask = 0;
   for (int i = 0; i < 4; ++i) {
-    if (c[static_cast<std::size_t>(i)]->value > iso) mask |= 1 << i;
+    if (corners[static_cast<std::size_t>(tet[static_cast<std::size_t>(i)])]
+            .value > iso)
+      mask |= 1 << i;
   }
   if (mask == 0 || mask == 15) return;
   // Normalize to "one or two corners above".
@@ -73,9 +87,15 @@ void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
   }
   (void)flipped;  // winding is irrelevant: normals come from the gradient
 
-  auto ev = [&](int i, int j) {
-    return interpolate(*c[static_cast<std::size_t>(i)],
-                       *c[static_cast<std::size_t>(j)], iso);
+  auto ev = [&](int i, int j) -> const EdgeVertex& {
+    const auto a = static_cast<std::size_t>(tet[static_cast<std::size_t>(i)]);
+    const auto b = static_cast<std::size_t>(tet[static_cast<std::size_t>(j)]);
+    const std::size_t key = a * 8 + b;
+    if ((cache.valid >> key & 1u) == 0) {
+      cache.vertex[key] = interpolate(corners[a], corners[b], iso);
+      cache.valid |= std::uint64_t{1} << key;
+    }
+    return cache.vertex[key];
   };
 
   switch (mask) {
@@ -86,37 +106,37 @@ void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
     case 8: emit_triangle(out, ev(3, 0), ev(3, 1), ev(3, 2)); break;
     // Two corners vs two corners: a quad split into two triangles.
     case 3: {  // {0,1} above
-      const auto a = ev(0, 2), b = ev(0, 3), d = ev(1, 3), e = ev(1, 2);
+      const auto& a = ev(0, 2), &b = ev(0, 3), &d = ev(1, 3), &e = ev(1, 2);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 5: {  // {0,2}
-      const auto a = ev(0, 1), b = ev(0, 3), d = ev(2, 3), e = ev(2, 1);
+      const auto& a = ev(0, 1), &b = ev(0, 3), &d = ev(2, 3), &e = ev(2, 1);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 6: {  // {1,2}
-      const auto a = ev(1, 0), b = ev(1, 3), d = ev(2, 3), e = ev(2, 0);
+      const auto& a = ev(1, 0), &b = ev(1, 3), &d = ev(2, 3), &e = ev(2, 0);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 9: {  // {0,3}
-      const auto a = ev(0, 1), b = ev(0, 2), d = ev(3, 2), e = ev(3, 1);
+      const auto& a = ev(0, 1), &b = ev(0, 2), &d = ev(3, 2), &e = ev(3, 1);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 10: {  // {1,3}
-      const auto a = ev(1, 0), b = ev(1, 2), d = ev(3, 2), e = ev(3, 0);
+      const auto& a = ev(1, 0), &b = ev(1, 2), &d = ev(3, 2), &e = ev(3, 0);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
     }
     case 12: {  // {2,3}
-      const auto a = ev(2, 0), b = ev(2, 1), d = ev(3, 1), e = ev(3, 0);
+      const auto& a = ev(2, 0), &b = ev(2, 1), &d = ev(3, 1), &e = ev(3, 0);
       emit_triangle(out, a, b, d);
       emit_triangle(out, a, d, e);
       break;
@@ -173,6 +193,7 @@ TriangleMesh isosurface(const UniformGrid& grid, const std::string& field,
   };
 
   std::array<Corner, 8> corners;
+  EdgeCache cache;
   for (std::uint32_t k = 0; k + 1 < nz; ++k) {
     for (std::uint32_t j = 0; j + 1 < ny; ++j) {
       for (std::uint32_t i = 0; i + 1 < nx; ++i) {
@@ -185,9 +206,7 @@ TriangleMesh isosurface(const UniformGrid& grid, const std::string& field,
           const float v = values[grid.point_index(ci, cj, ck)];
           any_above |= v > isovalue;
           any_below |= v <= isovalue;
-          auto& corner = corners[static_cast<std::size_t>(b)];
-          corner.value = v;
-          corner.pos = grid.point(ci, cj, ck);
+          corners[static_cast<std::size_t>(b)].value = v;
         }
         if (!any_above || !any_below) continue;
         for (int b = 0; b < 8; ++b) {
@@ -195,18 +214,15 @@ TriangleMesh isosurface(const UniformGrid& grid, const std::string& field,
           const std::uint32_t cj = j + ((static_cast<std::uint32_t>(b) >> 1) & 1u);
           const std::uint32_t ck = k + ((static_cast<std::uint32_t>(b) >> 2) & 1u);
           auto& corner = corners[static_cast<std::size_t>(b)];
+          corner.pos = grid.point(ci, cj, ck);
           corner.gradient = gradient(ci, cj, ck);
           corner.color = colors.empty()
                              ? corner.value
                              : colors[grid.point_index(ci, cj, ck)];
         }
+        cache.valid = 0;
         for (const auto& tet : kTets) {
-          march_tet(out,
-                    {&corners[static_cast<std::size_t>(tet[0])],
-                     &corners[static_cast<std::size_t>(tet[1])],
-                     &corners[static_cast<std::size_t>(tet[2])],
-                     &corners[static_cast<std::size_t>(tet[3])]},
-                    isovalue);
+          march_tet(out, corners, tet, cache, isovalue);
         }
       }
     }

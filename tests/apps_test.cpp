@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -321,6 +323,105 @@ TEST(Mandelbulb, DeterministicBlocks) {
   auto b = mandelbulb_block(p, 0);
   EXPECT_EQ(a.point_data.find("iterations")->as<float>()[37],
             b.point_data.find("iterations")->as<float>()[37]);
+}
+
+// The escape loop as it was before the periodicity exit and the hoisted
+// first step: a test-local oracle that the shipped kernel must match on
+// every input.
+int escape_reference(float cx, float cy, float cz, float power,
+                     int max_iterations) {
+  float x = 0, y = 0, z = 0;
+  for (int it = 0; it < max_iterations; ++it) {
+    const float r2 = x * x + y * y + z * z;
+    if (r2 > 4.0f) return it;
+    const float r = std::sqrt(r2);
+    const float theta = r > 0 ? std::acos(z / r) : 0.0f;
+    const float phi = std::atan2(y, x);
+    const float rp = std::pow(r, power);
+    const float st = std::sin(power * theta);
+    x = rp * st * std::cos(power * phi) + cx;
+    y = rp * st * std::sin(power * phi) + cy;
+    z = rp * std::cos(power * theta) + cz;
+  }
+  return max_iterations;
+}
+
+constexpr float kOraclePowers[] = {2.0f, 3.5f, 8.0f, 8.037f, 9.0f};
+constexpr int kOracleMaxIterations[] = {1, 10, 30, 100};
+
+TEST(Mandelbulb, EscapeMatchesReferenceOnGrid) {
+  constexpr int n = 24;
+  for (float power : kOraclePowers) {
+    for (int max_it : kOracleMaxIterations) {
+      std::vector<int> got, want;
+      for (int k = 0; k < n; ++k) {
+        for (int j = 0; j < n; ++j) {
+          for (int i = 0; i < n; ++i) {
+            const float cx = -1.5f + 3.0f * static_cast<float>(i) / (n - 1);
+            const float cy = -1.5f + 3.0f * static_cast<float>(j) / (n - 1);
+            const float cz = -1.5f + 3.0f * static_cast<float>(k) / (n - 1);
+            got.push_back(mandelbulb_escape(cx, cy, cz, power, max_it));
+            want.push_back(escape_reference(cx, cy, cz, power, max_it));
+          }
+        }
+      }
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(int)),
+                0)
+          << "power " << power << " max_iterations " << max_it;
+    }
+  }
+}
+
+TEST(Mandelbulb, EscapeMatchesReferenceOnSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float special[] = {0.0f, -0.0f, inf, -inf, nan, 0.25f};
+  for (float power : kOraclePowers) {
+    for (int max_it : kOracleMaxIterations) {
+      for (float cx : special) {
+        for (float cy : special) {
+          for (float cz : special) {
+            const int got = mandelbulb_escape(cx, cy, cz, power, max_it);
+            const int want = escape_reference(cx, cy, cz, power, max_it);
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof(int)), 0)
+                << "c = (" << cx << ", " << cy << ", " << cz << ") power "
+                << power << " max_iterations " << max_it << ": " << got
+                << " vs " << want;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Mandelbulb, BlockFieldMatchesReference) {
+  // mandelbulb_block hoists the first step per block; its field must equal
+  // the oracle evaluated at the block's own sample points.
+  for (float power : kOraclePowers) {
+    MandelbulbParams p;
+    p.nx = p.ny = p.nz = 12;
+    p.total_blocks = 4;
+    p.power = power;
+    for (std::uint32_t b = 0; b < p.total_blocks; ++b) {
+      const vis::UniformGrid g = mandelbulb_block(p, b);
+      const auto got = g.point_data.find("iterations")->as<float>();
+      std::vector<float> want(g.point_count());
+      for (std::uint32_t k = 0; k < p.nz; ++k) {
+        for (std::uint32_t j = 0; j < p.ny; ++j) {
+          for (std::uint32_t i = 0; i < p.nx; ++i) {
+            const vis::Vec3 c = g.point(i, j, k);
+            want[g.point_index(i, j, k)] = static_cast<float>(
+                escape_reference(c.x, c.y, c.z, power, p.max_iterations));
+          }
+        }
+      }
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+                0)
+          << "power " << power << " block " << b;
+    }
+  }
 }
 
 // --------------------------------------------------------------- DWI proxy

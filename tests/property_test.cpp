@@ -121,7 +121,8 @@ struct FuzzRecord {
 
 FuzzRecord random_record(Rng& rng) {
   FuzzRecord r;
-  r.id = static_cast<std::int64_t>(rng()) - (1LL << 62);
+  // Offset in uint64_t (wraps) and convert after: no signed overflow.
+  r.id = static_cast<std::int64_t>(rng() - (std::uint64_t{1} << 62));
   const auto len = rng.below(40);
   for (std::uint64_t i = 0; i < len; ++i)
     r.name += static_cast<char>(rng.below(256));

@@ -3,10 +3,16 @@
 // merging, and resampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
+
+#include "common/rng.hpp"
 
 #include "vis/data.hpp"
 #include "vis/filters.hpp"
@@ -191,6 +197,269 @@ TEST(Isosurface, ColorFieldInterpolated) {
 TEST(Isosurface, MissingFieldThrows) {
   UniformGrid g = sphere_grid(5, {2, 2, 2});
   EXPECT_THROW(isosurface(g, "nope", 1.0f), std::runtime_error);
+}
+
+// ---------------------------------------------------- isosurface, differential
+
+// The marching-tetrahedra filter as it was before the per-cell edge cache
+// and the active-cell-only corner positions, verbatim: a test-local oracle
+// the shipped filter must match byte for byte.
+constexpr std::array<std::array<int, 4>, 6> kTets{{{0, 1, 3, 7},
+                                                   {0, 3, 2, 7},
+                                                   {0, 2, 6, 7},
+                                                   {0, 6, 4, 7},
+                                                   {0, 4, 5, 7},
+                                                   {0, 5, 1, 7}}};
+
+struct Corner {
+  Vec3 pos;
+  Vec3 gradient;
+  float value = 0;
+  float color = 0;
+};
+
+struct EdgeVertex {
+  Vec3 pos;
+  Vec3 normal;
+  float color = 0;
+};
+
+EdgeVertex interpolate(const Corner& a, const Corner& b, float iso) {
+  const float denom = b.value - a.value;
+  const float t =
+      denom != 0 ? std::clamp((iso - a.value) / denom, 0.0f, 1.0f) : 0.5f;
+  EdgeVertex v;
+  v.pos = lerp(a.pos, b.pos, t);
+  v.normal = lerp(a.gradient, b.gradient, t).normalized();
+  v.color = a.color + (b.color - a.color) * t;
+  return v;
+}
+
+void emit_triangle(TriangleMesh& out, const EdgeVertex& a, const EdgeVertex& b,
+                   const EdgeVertex& c) {
+  const auto base = static_cast<std::uint32_t>(out.points.size());
+  for (const EdgeVertex* v : {&a, &b, &c}) {
+    out.points.push_back(v->pos);
+    out.normals.push_back(v->normal);
+    out.scalars.push_back(v->color);
+  }
+  out.triangles.insert(out.triangles.end(), {base, base + 1, base + 2});
+}
+
+// Contours one tetrahedron given its four corners.
+void march_tet(TriangleMesh& out, const std::array<const Corner*, 4>& c,
+               float iso) {
+  int mask = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (c[static_cast<std::size_t>(i)]->value > iso) mask |= 1 << i;
+  }
+  if (mask == 0 || mask == 15) return;
+  // Normalize to "one or two corners above".
+  bool flipped = false;
+  if (__builtin_popcount(static_cast<unsigned>(mask)) > 2) {
+    mask = ~mask & 15;
+    flipped = true;
+  }
+  (void)flipped;  // winding is irrelevant: normals come from the gradient
+
+  auto ev = [&](int i, int j) {
+    return interpolate(*c[static_cast<std::size_t>(i)],
+                       *c[static_cast<std::size_t>(j)], iso);
+  };
+
+  switch (mask) {
+    // One corner isolated: one triangle on the three edges leaving it.
+    case 1: emit_triangle(out, ev(0, 1), ev(0, 2), ev(0, 3)); break;
+    case 2: emit_triangle(out, ev(1, 0), ev(1, 2), ev(1, 3)); break;
+    case 4: emit_triangle(out, ev(2, 0), ev(2, 1), ev(2, 3)); break;
+    case 8: emit_triangle(out, ev(3, 0), ev(3, 1), ev(3, 2)); break;
+    // Two corners vs two corners: a quad split into two triangles.
+    case 3: {  // {0,1} above
+      const auto a = ev(0, 2), b = ev(0, 3), d = ev(1, 3), e = ev(1, 2);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 5: {  // {0,2}
+      const auto a = ev(0, 1), b = ev(0, 3), d = ev(2, 3), e = ev(2, 1);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 6: {  // {1,2}
+      const auto a = ev(1, 0), b = ev(1, 3), d = ev(2, 3), e = ev(2, 0);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 9: {  // {0,3}
+      const auto a = ev(0, 1), b = ev(0, 2), d = ev(3, 2), e = ev(3, 1);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 10: {  // {1,3}
+      const auto a = ev(1, 0), b = ev(1, 2), d = ev(3, 2), e = ev(3, 0);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    case 12: {  // {2,3}
+      const auto a = ev(2, 0), b = ev(2, 1), d = ev(3, 1), e = ev(3, 0);
+      emit_triangle(out, a, b, d);
+      emit_triangle(out, a, d, e);
+      break;
+    }
+    default: throw std::logic_error("march_tet: unreachable case");
+  }
+}
+
+TriangleMesh isosurface_reference(const UniformGrid& grid, const std::string& field,
+                        float isovalue, const std::string& color_field) {
+  const DataArray* arr = grid.point_data.find(field);
+  if (arr == nullptr)
+    throw std::runtime_error("isosurface: no point field '" + field + "'");
+  const auto values = arr->as<float>();
+  if (values.size() != grid.point_count())
+    throw std::runtime_error("isosurface: field size != point count");
+  const DataArray* color_arr =
+      color_field.empty() ? nullptr : grid.point_data.find(color_field);
+  std::span<const float> colors;
+  if (color_arr != nullptr) colors = color_arr->as<float>();
+
+  const auto [nx, ny, nz] = grid.dims;
+  TriangleMesh out;
+  if (nx < 2 || ny < 2 || nz < 2) return out;
+
+  // Gradient of the field at a grid point, by central differences (one-sided
+  // at the boundary), in world units.
+  auto gradient = [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+    auto sample = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+      return values[grid.point_index(a, b, c)];
+    };
+    Vec3 g;
+    {
+      const std::uint32_t i0 = i > 0 ? i - 1 : i;
+      const std::uint32_t i1 = i + 1 < nx ? i + 1 : i;
+      g.x = (sample(i1, j, k) - sample(i0, j, k)) /
+            (grid.spacing.x * static_cast<float>(i1 - i0 == 0 ? 1 : i1 - i0));
+    }
+    {
+      const std::uint32_t j0 = j > 0 ? j - 1 : j;
+      const std::uint32_t j1 = j + 1 < ny ? j + 1 : j;
+      g.y = (sample(i, j1, k) - sample(i, j0, k)) /
+            (grid.spacing.y * static_cast<float>(j1 - j0 == 0 ? 1 : j1 - j0));
+    }
+    {
+      const std::uint32_t k0 = k > 0 ? k - 1 : k;
+      const std::uint32_t k1 = k + 1 < nz ? k + 1 : k;
+      g.z = (sample(i, j, k1) - sample(i, j, k0)) /
+            (grid.spacing.z * static_cast<float>(k1 - k0 == 0 ? 1 : k1 - k0));
+    }
+    return g;
+  };
+
+  std::array<Corner, 8> corners;
+  for (std::uint32_t k = 0; k + 1 < nz; ++k) {
+    for (std::uint32_t j = 0; j + 1 < ny; ++j) {
+      for (std::uint32_t i = 0; i + 1 < nx; ++i) {
+        // Quick reject: all corner values on one side of the isovalue.
+        bool any_above = false, any_below = false;
+        for (int b = 0; b < 8; ++b) {
+          const std::uint32_t ci = i + (static_cast<std::uint32_t>(b) & 1u);
+          const std::uint32_t cj = j + ((static_cast<std::uint32_t>(b) >> 1) & 1u);
+          const std::uint32_t ck = k + ((static_cast<std::uint32_t>(b) >> 2) & 1u);
+          const float v = values[grid.point_index(ci, cj, ck)];
+          any_above |= v > isovalue;
+          any_below |= v <= isovalue;
+          auto& corner = corners[static_cast<std::size_t>(b)];
+          corner.value = v;
+          corner.pos = grid.point(ci, cj, ck);
+        }
+        if (!any_above || !any_below) continue;
+        for (int b = 0; b < 8; ++b) {
+          const std::uint32_t ci = i + (static_cast<std::uint32_t>(b) & 1u);
+          const std::uint32_t cj = j + ((static_cast<std::uint32_t>(b) >> 1) & 1u);
+          const std::uint32_t ck = k + ((static_cast<std::uint32_t>(b) >> 2) & 1u);
+          auto& corner = corners[static_cast<std::size_t>(b)];
+          corner.gradient = gradient(ci, cj, ck);
+          corner.color = colors.empty()
+                             ? corner.value
+                             : colors[grid.point_index(ci, cj, ck)];
+        }
+        for (const auto& tet : kTets) {
+          march_tet(out,
+                    {&corners[static_cast<std::size_t>(tet[0])],
+                     &corners[static_cast<std::size_t>(tet[1])],
+                     &corners[static_cast<std::size_t>(tet[2])],
+                     &corners[static_cast<std::size_t>(tet[3])]},
+                    isovalue);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+void expect_same_mesh(const TriangleMesh& got, const TriangleMesh& want,
+                      const std::string& what) {
+  EXPECT_TRUE(same_bytes(got.points, want.points)) << what;
+  EXPECT_TRUE(same_bytes(got.normals, want.normals)) << what;
+  EXPECT_TRUE(same_bytes(got.scalars, want.scalars)) << what;
+  EXPECT_TRUE(same_bytes(got.triangles, want.triangles)) << what;
+}
+
+TEST(Isosurface, MatchesReferenceOnSphere) {
+  UniformGrid g = sphere_grid(17, {3, 3, 3}, 0.37f);
+  std::vector<float> xs(g.point_count());
+  for (std::size_t p = 0; p < xs.size(); ++p)
+    xs[p] = static_cast<float>(p % 13) * 0.25f;
+  g.point_data.add(DataArray::make<float>("x", xs));
+  for (float iso : {0.9f, 1.85f, 2.0f, 2.96f}) {
+    const TriangleMesh want = isosurface_reference(g, "dist", iso, "x");
+    ASSERT_GT(want.triangle_count(), 0u) << iso;
+    expect_same_mesh(isosurface(g, "dist", iso, "x"), want,
+                     "iso " + std::to_string(iso));
+    expect_same_mesh(isosurface(g, "dist", iso),
+                     isosurface_reference(g, "dist", iso, ""),
+                     "no color, iso " + std::to_string(iso));
+  }
+}
+
+TEST(Isosurface, MatchesReferenceOnRandomIntegerFields) {
+  // Integer-valued fields like the Mandelbulb escape counts: many corners
+  // equal the isovalue exactly, and flat edges hit the 0.5 fallback.
+  Rng rng(77);
+  for (int trial = 0; trial < 24; ++trial) {
+    UniformGrid g;
+    g.dims = {static_cast<std::uint32_t>(2 + rng.below(9)),
+              static_cast<std::uint32_t>(2 + rng.below(9)),
+              static_cast<std::uint32_t>(2 + rng.below(9))};
+    g.origin = {static_cast<float>(rng.uniform(-2, 2)), -1.25f, 0.5f};
+    g.spacing = {0.3f, static_cast<float>(rng.uniform(0.01, 1)), 0.0375f};
+    std::vector<float> v(g.point_count()), c(g.point_count());
+    for (std::size_t p = 0; p < v.size(); ++p) {
+      v[p] = static_cast<float>(rng.below(13));
+      c[p] = static_cast<float>(rng.uniform(-1, 1));
+    }
+    g.point_data.add(DataArray::make<float>("iterations", v));
+    g.point_data.add(DataArray::make<float>("c", c));
+    for (float iso : {6.0f, 6.5f}) {
+      const std::string what =
+          "trial " + std::to_string(trial) + " iso " + std::to_string(iso);
+      expect_same_mesh(isosurface(g, "iterations", iso, "iterations"),
+                       isosurface_reference(g, "iterations", iso, "iterations"),
+                       what);
+      expect_same_mesh(isosurface(g, "iterations", iso, "c"),
+                       isosurface_reference(g, "iterations", iso, "c"), what);
+    }
+  }
 }
 
 // ------------------------------------------------------------------ clip
