@@ -362,9 +362,8 @@ int run_runtime_report(const std::string& path, int procs, int repeats) {
 // near-term mass, a long seconds-scale tail, and deliberate same-timestamp
 // bursts), then keeps occupancy at ~10^6 by rescheduling on every fire until
 // a fixed event budget is consumed. This is the pending-population regime
-// where a binary heap pays ~20-level sift chains per operation and the
-// ladder queue's O(1) bucket append shows up directly in wall time. The
-// COLZA_DES_QUEUE env var selects the implementation under test.
+// where a binary heap would pay ~20-level sift chains per operation and the
+// ladder queue's O(1) bucket append shows up directly in wall time.
 
 struct QueueReport {
   double wall_seconds = 0;
@@ -373,7 +372,6 @@ struct QueueReport {
   std::uint64_t peak_depth = 0;
   std::uint64_t rung_spawns = 0;
   std::uint64_t top_transfers = 0;
-  const char* impl = "";
 };
 
 des::Duration skewed_delta(Rng& rng) {
@@ -414,7 +412,6 @@ QueueReport run_queue_scenario() {
   rep.peak_depth = q.stats().peak_depth;
   rep.rung_spawns = q.stats().rung_spawns;
   rep.top_transfers = q.stats().top_transfers;
-  rep.impl = q.impl_name();
   return rep;
 }
 
@@ -432,7 +429,6 @@ int run_queue_report(const std::string& path) {
   std::fprintf(f,
                "{\n"
                "  \"scenario\": \"high-occupancy queue stress\",\n"
-               "  \"queue_impl\": \"%s\",\n"
                "  \"pending_events\": 1048576,\n"
                "  \"wall_seconds\": %.6f,\n"
                "  \"events\": %llu,\n"
@@ -441,7 +437,7 @@ int run_queue_report(const std::string& path) {
                "  \"rung_spawns\": %llu,\n"
                "  \"top_transfers\": %llu\n"
                "}\n",
-               best.impl, best.wall_seconds,
+               best.wall_seconds,
                static_cast<unsigned long long>(best.events),
                best.events_per_sec,
                static_cast<unsigned long long>(best.peak_depth),
@@ -449,9 +445,9 @@ int run_queue_report(const std::string& path) {
                static_cast<unsigned long long>(best.top_transfers));
   std::fclose(f);
   std::printf(
-      "queue report (%s): %.3fs wall, %.0f events/s, peak depth %llu, "
+      "queue report: %.3fs wall, %.0f events/s, peak depth %llu, "
       "%llu rung spawns, %llu top transfers -> %s\n",
-      best.impl, best.wall_seconds, best.events_per_sec,
+      best.wall_seconds, best.events_per_sec,
       static_cast<unsigned long long>(best.peak_depth),
       static_cast<unsigned long long>(best.rung_spawns),
       static_cast<unsigned long long>(best.top_transfers), path.c_str());

@@ -2,7 +2,147 @@
 
 #include <map>
 
+#include "common/checksum.hpp"
+#include "des/simulation.hpp"
+
 namespace colza {
+
+// ---------------------------------------------------------- StagedBlockStore
+
+void StagedBlockStore::open(std::uint64_t iteration) {
+  slots_[iteration].clear();
+}
+
+bool StagedBlockStore::is_open(std::uint64_t iteration) const {
+  return slots_.count(iteration) != 0;
+}
+
+Status StagedBlockStore::put(StagedBlock block) {
+  auto it = slots_.find(block.iteration);
+  if (it == slots_.end())
+    return Status::FailedPrecondition(
+        "stage: iteration " + std::to_string(block.iteration) +
+        " is not active");
+  Block stored;
+  stored.data = std::move(block.data);
+  stored.checksum = block.checksum;
+  stored.sender = block.sender;
+  stored.copyset = std::move(block.copyset);
+  it->second.insert_or_assign(
+      Key{block.block_id, std::move(block.field_name)}, std::move(stored));
+  return Status::Ok();
+}
+
+void StagedBlockStore::close(std::uint64_t iteration) {
+  slots_.erase(iteration);
+}
+
+const StagedBlockStore::Slot* StagedBlockStore::slot(
+    std::uint64_t iteration) const {
+  auto it = slots_.find(iteration);
+  return it == slots_.end() ? nullptr : &it->second;
+}
+
+StagedBlockStore::Block* StagedBlockStore::find(std::uint64_t iteration,
+                                                std::uint64_t block_id,
+                                                const std::string& field) {
+  auto it = slots_.find(iteration);
+  if (it == slots_.end()) return nullptr;
+  auto b = it->second.find(Key{block_id, field});
+  return b == it->second.end() ? nullptr : &b->second;
+}
+
+std::vector<BlockInfo> StagedBlockStore::scan(std::uint64_t iteration) const {
+  std::vector<BlockInfo> out;
+  const Slot* blocks = slot(iteration);
+  if (blocks == nullptr) return out;
+  out.reserve(blocks->size());
+  for (const auto& [key, stored] : *blocks) {
+    BlockInfo info;
+    info.block_id = key.first;
+    info.field_name = key.second;
+    info.checksum = stored.checksum;
+    info.bytes = stored.data.size();
+    info.valid = common::crc32c(stored.data) == stored.checksum;
+    info.copyset = stored.copyset;
+    out.push_back(std::move(info));
+  }
+  return out;
+}
+
+Status StagedBlockStore::for_each_verified(
+    des::Simulation& sim, std::uint64_t iteration,
+    const std::function<Status(const Key&, std::span<const std::byte>)>& fn) {
+  // Thrown (and caught below) inside the charged lambda, so a mismatch
+  // aborts the scoped charge instead of billing work that never ran.
+  struct CorruptBlock {};
+  auto it = slots_.find(iteration);
+  if (it == slots_.end())
+    return Status::FailedPrecondition(
+        "iteration " + std::to_string(iteration) + " is not active");
+  for (const auto& [key, stored] : it->second) {
+    auto verify_then_use = [&]() -> Status {
+      if (common::crc32c(stored.data) != stored.checksum) throw CorruptBlock{};
+      return fn(key, stored.data);
+    };
+    Status s;
+    try {
+      s = sim.in_fiber() ? sim.charge_scoped(verify_then_use)
+                         : verify_then_use();
+    } catch (const CorruptBlock&) {
+      return Status::Corrupt("block " + std::to_string(key.first) +
+                                 " field '" + key.second +
+                                 "' failed checksum verification",
+                             key.first + 1);
+    }
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+// ------------------------------------------------------------------- Backend
+
+Status Backend::activate(std::uint64_t iteration) {
+  staged_.open(iteration);
+  return Status::Ok();
+}
+
+Status Backend::stage(StagedBlock block) {
+  return staged_.put(std::move(block));
+}
+
+Status Backend::deactivate(std::uint64_t iteration) {
+  staged_.close(iteration);  // staged data can now be cleaned up (S II-B)
+  return Status::Ok();
+}
+
+std::vector<BlockInfo> Backend::integrity_scan(std::uint64_t iteration) {
+  return staged_.scan(iteration);
+}
+
+bool Backend::fetch_block(std::uint64_t iteration, std::uint64_t block_id,
+                          const std::string& field, StagedBlock& out) {
+  const StagedBlockStore::Block* stored =
+      staged_.find(iteration, block_id, field);
+  if (stored == nullptr) return false;
+  out.iteration = iteration;
+  out.block_id = block_id;
+  out.field_name = field;
+  out.sender = stored->sender;
+  out.data = stored->data;  // served as-is; the requester verifies
+  out.checksum = stored->checksum;
+  out.copyset = stored->copyset;
+  return true;
+}
+
+std::vector<std::byte>* Backend::stored_payload(std::uint64_t iteration,
+                                                std::uint64_t block_id,
+                                                const std::string& field) {
+  StagedBlockStore::Block* stored = staged_.find(iteration, block_id, field);
+  return stored == nullptr ? nullptr : &stored->data;
+}
+
+// ------------------------------------------------------------------ registry
 
 namespace detail {
 // Defined in catalyst_backend.cpp. Referencing it here forces the linker to

@@ -6,10 +6,14 @@
 // see DESIGN.md for the substitution rationale.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -20,9 +24,84 @@
 
 namespace colza {
 
+namespace des {
+class Simulation;
+}
 namespace render {
 struct FrameBuffer;
 }
+
+// One stored block as the integrity layer sees it (Backend::integrity_scan).
+struct BlockInfo {
+  std::uint64_t block_id = 0;
+  std::string field_name;
+  std::uint32_t checksum = 0;  // the stage-time CRC32C on record
+  std::size_t bytes = 0;       // stored size (may differ after truncation)
+  bool valid = false;          // stored bytes still hash to `checksum`
+  std::vector<net::ProcId> copyset;  // recorded placement ([0] = primary)
+};
+
+// The staged-block store: staged payloads of every open iteration, kept as
+// the raw bytes the server pulled, alongside their stage-time CRC32C, sender
+// and recorded copyset. Backends hold one for their primary copies (paper
+// S II-B: staged data lives from activate to deactivate) and the server one
+// per pipeline for buddy replicas.
+//
+// Storage is keyed by (block_id, field), so put() is idempotent: a
+// retransmitted, duplicated or repair-driven stage replaces the earlier copy
+// instead of counting the block twice. Every enumeration runs in sorted key
+// order (iterations ascending, then block_id, then field), which keeps scans,
+// repairs and chaos victim picks deterministic.
+class StagedBlockStore {
+ public:
+  using Key = std::pair<std::uint64_t, std::string>;  // (block_id, field)
+  struct Block {
+    std::vector<std::byte> data;
+    std::uint32_t checksum = 0;  // stage-time CRC32C of `data`
+    net::ProcId sender = net::kInvalidProc;
+    std::vector<net::ProcId> copyset;  // recorded placement ([0] = primary)
+  };
+  using Slot = std::map<Key, Block>;
+
+  // Opens an empty slot for `iteration`, dropping whatever an earlier
+  // activation of the same iteration left there.
+  void open(std::uint64_t iteration);
+  [[nodiscard]] bool is_open(std::uint64_t iteration) const;
+  // Stores (or replaces) block.iteration's (block_id, field) entry.
+  // FailedPrecondition when that iteration is not open.
+  Status put(StagedBlock block);
+  // Drops the slot and everything in it.
+  void close(std::uint64_t iteration);
+
+  // The blocks of `iteration`, or nullptr when it is not open.
+  [[nodiscard]] const Slot* slot(std::uint64_t iteration) const;
+  [[nodiscard]] Block* find(std::uint64_t iteration, std::uint64_t block_id,
+                            const std::string& field);
+  // Every block of `iteration`, re-verified against its checksum.
+  [[nodiscard]] std::vector<BlockInfo> scan(std::uint64_t iteration) const;
+  // Verify-then-use: for each block of `iteration`, checks the CRC and runs
+  // `fn` on the bytes inside one sim.charge_scoped call (when in a fiber),
+  // i.e. at one virtual instant, so a corruption event cannot slip between a
+  // block's verification and its use. Stops at the first mismatch with
+  // Corrupt (detail = block_id + 1; that block is not charged) or at the
+  // first non-ok status from `fn`. An exception from `fn` propagates
+  // uncharged.
+  Status for_each_verified(
+      des::Simulation& sim, std::uint64_t iteration,
+      const std::function<Status(const Key&, std::span<const std::byte>)>&
+          fn);
+
+  // Visits every stored block of every open iteration.
+  template <typename Fn>  // void(std::uint64_t iteration, const Key&, Block&)
+  void for_each(Fn&& fn) {
+    for (auto& [iteration, blocks] : slots_) {
+      for (auto& [key, block] : blocks) fn(iteration, key, block);
+    }
+  }
+
+ private:
+  std::map<std::uint64_t, Slot> slots_;
+};
 
 class Backend {
  public:
@@ -41,10 +120,16 @@ class Backend {
 
   // Lifecycle RPCs, in protocol order (paper S II-B):
   //   activate -> stage* -> execute -> deactivate
-  virtual Status activate(std::uint64_t iteration) = 0;
-  virtual Status stage(StagedBlock block) = 0;
+  // The defaults keep the staged blocks in staged_: activate opens a fresh
+  // slot (the client re-stages every block after each activate, so blocks of
+  // an earlier attempt whose deactivate was lost must not leak into this
+  // one), stage stores the raw bytes, and deactivate drops them. Pipelines
+  // normally write only execute, reading the blocks back through
+  // staged_.for_each_verified.
+  virtual Status activate(std::uint64_t iteration);
+  virtual Status stage(StagedBlock block);
   virtual Status execute(std::uint64_t iteration) = 0;
-  virtual Status deactivate(std::uint64_t iteration) = 0;
+  virtual Status deactivate(std::uint64_t iteration);
 
   // Called by the provider whenever the (frozen) staging-area view changed:
   // `comm` spans the servers of the newly committed view, in sorted address
@@ -67,44 +152,29 @@ class Backend {
   }
 
   // ---- data integrity (docs/PROTOCOL.md, integrity section) ---------------
-  // Backends that hold staged payloads between stage() and execute() expose
-  // them to the server's integrity layer: scans re-verify every stored block
-  // against its stage-time CRC32C, repairs re-stage a verified copy fetched
-  // from a buddy (via the ordinary keyed stage(), which replaces in place),
-  // and the chaos layer's corrupt rules rot bytes through stored_payload.
-  // The defaults describe a backend that stores nothing (and therefore has
-  // nothing to corrupt or repair).
-  struct BlockInfo {
-    std::uint64_t block_id = 0;
-    std::string field_name;
-    std::uint32_t checksum = 0;  // the stage-time CRC32C on record
-    std::size_t bytes = 0;       // stored size (may differ after truncation)
-    bool valid = false;          // stored bytes still hash to `checksum`
-    std::vector<net::ProcId> copyset;  // recorded placement ([0] = primary)
-  };
+  // The server's integrity layer reaches the staged payloads through these:
+  // scans re-verify every stored block against its stage-time CRC32C,
+  // repairs re-stage a verified copy fetched from a buddy (via the ordinary
+  // keyed stage(), which replaces in place), and the chaos layer's corrupt
+  // rules rot bytes through stored_payload. The defaults serve staged_.
+  using BlockInfo = colza::BlockInfo;
   // Every stored block of `iteration`, re-verified, in (block_id, field)
   // order so scans are deterministic.
   [[nodiscard]] virtual std::vector<BlockInfo> integrity_scan(
-      std::uint64_t /*iteration*/) {
-    return {};
-  }
+      std::uint64_t iteration);
   // Copies the stored bytes and recorded checksum out (for serving a buddy's
   // repair fetch). Deliberately does NOT verify: a silently corrupt server
   // does not know its bytes rotted -- the requester verifies.
-  [[nodiscard]] virtual bool fetch_block(std::uint64_t /*iteration*/,
-                                         std::uint64_t /*block_id*/,
-                                         const std::string& /*field*/,
-                                         StagedBlock& /*out*/) {
-    return false;
-  }
+  [[nodiscard]] virtual bool fetch_block(std::uint64_t iteration,
+                                         std::uint64_t block_id,
+                                         const std::string& field,
+                                         StagedBlock& out);
   // Mutable access to the stored payload under (iteration, block_id, field),
   // or nullptr when unknown. Only the chaos corruption hook uses this; the
   // protocol itself never mutates stored bytes in place.
   [[nodiscard]] virtual std::vector<std::byte>* stored_payload(
-      std::uint64_t /*iteration*/, std::uint64_t /*block_id*/,
-      const std::string& /*field*/) {
-    return nullptr;
-  }
+      std::uint64_t iteration, std::uint64_t block_id,
+      const std::string& field);
 
   // ---- stateful pipelines (paper S VI, future-work item 3) ----------------
   // A stateful pipeline accumulates data across iterations (running
@@ -126,6 +196,7 @@ class Backend {
  protected:
   Context ctx_;
   std::shared_ptr<mona::Communicator> comm_;
+  StagedBlockStore staged_;
 };
 
 using BackendFactory =

@@ -1,16 +1,11 @@
 #include "colza/catalyst_backend.hpp"
 
 #include "colza/histogram_backend.hpp"
-#include "common/checksum.hpp"
 #include "des/simulation.hpp"
 
 namespace colza {
 
 namespace {
-// Thrown (and caught locally) inside the charge_scoped verify+parse lambda so
-// a CRC mismatch can abort the scoped charge without a sentinel DataSet.
-struct CorruptBlock {};
-
 catalyst::PipelineScript script_from_config(const json::Value& cfg) {
   const std::string preset = cfg.string_or("preset", "");
   catalyst::PipelineScript base;
@@ -43,39 +38,8 @@ catalyst::PipelineScript script_from_config(const json::Value& cfg) {
 CatalystBackend::CatalystBackend(Context ctx)
     : Backend(std::move(ctx)), script_(script_from_config(ctx_.config)) {}
 
-Status CatalystBackend::activate(std::uint64_t iteration) {
-  // Fresh slot even when the iteration was activated before: the client
-  // re-stages every block after each activate, so blocks left by an earlier
-  // attempt whose deactivate was lost must not leak into this one.
-  if (auto it = staged_.find(iteration); it != staged_.end()) {
-    staged_.erase(it);
-  }
-  staged_.try_emplace(iteration, arena_);
-  return Status::Ok();
-}
-
-Status CatalystBackend::stage(StagedBlock block) {
-  auto it = staged_.find(block.iteration);
-  if (it == staged_.end())
-    return Status::FailedPrecondition(
-        "stage: iteration " + std::to_string(block.iteration) +
-        " is not active");
-  // Store the raw bytes; parsing waits for execute(), behind a fresh CRC
-  // check, so bytes that rot in staging memory are never deserialized.
-  StagingSlot& slot = it->second;
-  const auto key = std::make_pair(block.block_id, block.field_name);
-  StoredBlock stored;
-  stored.data = std::move(block.data);
-  stored.checksum = block.checksum;
-  stored.sender = block.sender;
-  stored.copyset = std::move(block.copyset);
-  slot.blocks.insert_or_assign(key, std::move(stored));  // idempotent restage
-  return Status::Ok();
-}
-
 Status CatalystBackend::execute(std::uint64_t iteration) {
-  auto it = staged_.find(iteration);
-  if (it == staged_.end())
+  if (!staged_.is_open(iteration))
     return Status::FailedPrecondition(
         "execute: iteration " + std::to_string(iteration) + " is not active");
   if (comm_ == nullptr)
@@ -93,33 +57,22 @@ Status CatalystBackend::execute(std::uint64_t iteration) {
     if (sim.in_fiber()) sim.charge(des::milliseconds(2500));
   }
 
-  // Verify-then-parse every stored block, in sorted key order so the pass is
-  // deterministic. The CRC check and the parse of one block happen inside a
-  // single charge_scoped call, i.e. at one virtual instant: a corruption
-  // event cannot slip between a block's verification and its use. A mismatch
-  // aborts before any collective work starts, so no peer is left waiting in
-  // a half-entered reduction and nothing corrupt is ever rendered.
+  // Verify-then-parse every stored block. A mismatch aborts before any
+  // collective work starts, so no peer is left waiting in a half-entered
+  // reduction and nothing corrupt is ever rendered.
   std::vector<vis::DataSet> parsed;
-  parsed.reserve(it->second.blocks.size());
-  for (auto& [key, stored] : it->second.blocks) {
-    try {
-      auto parse_one = [&]() -> vis::DataSet {
-        if (common::crc32c(stored.data) != stored.checksum) {
-          throw CorruptBlock{};
-        }
-        return vis::deserialize_dataset(stored.data);
-      };
-      parsed.push_back(sim.in_fiber() ? sim.charge_scoped(parse_one)
-                                      : parse_one());
-    } catch (const CorruptBlock&) {
-      return Status::Corrupt("execute: block " + std::to_string(key.first) +
-                                 " field '" + key.second +
-                                 "' failed checksum verification",
-                             key.first + 1);
-    } catch (const std::exception& e) {
-      return Status::InvalidArgument(std::string("execute: bad dataset: ") +
-                                     e.what());
-    }
+  parsed.reserve(staged_.slot(iteration)->size());
+  try {
+    Status s = staged_.for_each_verified(
+        sim, iteration,
+        [&](const StagedBlockStore::Key&, std::span<const std::byte> data) {
+          parsed.push_back(vis::deserialize_dataset(data));
+          return Status::Ok();
+        });
+    if (!s.ok()) return s;
+  } catch (const std::exception& e) {
+    return Status::InvalidArgument(std::string("execute: bad dataset: ") +
+                                   e.what());
   }
 
   vis::MonaCommunicator comm(comm_);
@@ -137,64 +90,6 @@ Status CatalystBackend::execute(std::uint64_t iteration) {
   rec.image_hash = comm.rank() == 0 ? fb_.content_hash() : 0;
   records_.push_back(rec);
   return Status::Ok();
-}
-
-Status CatalystBackend::deactivate(std::uint64_t iteration) {
-  staged_.erase(iteration);  // staged data can now be cleaned up (S II-B)
-  // Iteration boundary: with no activation alive the arena holds no live
-  // index nodes, so rewind it and let the next activation reuse the slabs.
-  if (staged_.empty()) arena_.reset();
-  return Status::Ok();
-}
-
-CatalystBackend::StoredBlock* CatalystBackend::find_stored(
-    std::uint64_t iteration, std::uint64_t block_id,
-    const std::string& field) {
-  auto it = staged_.find(iteration);
-  if (it == staged_.end()) return nullptr;
-  auto b = it->second.blocks.find(std::make_pair(block_id, field));
-  return b == it->second.blocks.end() ? nullptr : &b->second;
-}
-
-std::vector<Backend::BlockInfo> CatalystBackend::integrity_scan(
-    std::uint64_t iteration) {
-  std::vector<BlockInfo> out;
-  auto it = staged_.find(iteration);
-  if (it == staged_.end()) return out;
-  out.reserve(it->second.blocks.size());
-  for (const auto& [key, stored] : it->second.blocks) {
-    BlockInfo info;
-    info.block_id = key.first;
-    info.field_name = key.second;
-    info.checksum = stored.checksum;
-    info.bytes = stored.data.size();
-    info.valid = common::crc32c(stored.data) == stored.checksum;
-    info.copyset = stored.copyset;
-    out.push_back(std::move(info));
-  }
-  return out;  // map order == sorted (block_id, field) order
-}
-
-bool CatalystBackend::fetch_block(std::uint64_t iteration,
-                                  std::uint64_t block_id,
-                                  const std::string& field, StagedBlock& out) {
-  StoredBlock* stored = find_stored(iteration, block_id, field);
-  if (stored == nullptr) return false;
-  out.iteration = iteration;
-  out.block_id = block_id;
-  out.field_name = field;
-  out.sender = stored->sender;
-  out.data = stored->data;  // served as-is; the requester verifies
-  out.checksum = stored->checksum;
-  out.copyset = stored->copyset;
-  return true;
-}
-
-std::vector<std::byte>* CatalystBackend::stored_payload(
-    std::uint64_t iteration, std::uint64_t block_id,
-    const std::string& field) {
-  StoredBlock* stored = find_stored(iteration, block_id, field);
-  return stored == nullptr ? nullptr : &stored->data;
 }
 
 json::Value CatalystBackend::stats() const {

@@ -10,14 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "catalyst/catalyst.hpp"
 #include "colza/backend.hpp"
-#include "common/arena.hpp"
 #include "des/time.hpp"
 #include "render/render.hpp"
 #include "vis/communicator.hpp"
@@ -28,21 +24,11 @@ class CatalystBackend final : public Backend {
  public:
   explicit CatalystBackend(Context ctx);
 
-  Status activate(std::uint64_t iteration) override;
-  Status stage(StagedBlock block) override;
+  // Staging is the Backend default: raw serialized bytes, parsed only at
+  // execute() behind a fresh CRC check, so silent rot between stage and
+  // render is caught (and repaired from a buddy) instead of rendered.
   Status execute(std::uint64_t iteration) override;
-  Status deactivate(std::uint64_t iteration) override;
   [[nodiscard]] json::Value stats() const override;
-
-  [[nodiscard]] std::vector<BlockInfo> integrity_scan(
-      std::uint64_t iteration) override;
-  [[nodiscard]] bool fetch_block(std::uint64_t iteration,
-                                 std::uint64_t block_id,
-                                 const std::string& field,
-                                 StagedBlock& out) override;
-  [[nodiscard]] std::vector<std::byte>* stored_payload(
-      std::uint64_t iteration, std::uint64_t block_id,
-      const std::string& field) override;
 
   // Per-execution record, for benches and tests (virtual-time durations).
   struct Record {
@@ -71,41 +57,8 @@ class CatalystBackend final : public Backend {
   }
 
  private:
-  // One activation's staged blocks, stored as the raw serialized bytes the
-  // server pulled, alongside their stage-time checksum and recorded copyset.
-  // Parsing is deferred to execute(): every read of the bytes first
-  // re-verifies the CRC, so silent rot between stage and render is caught
-  // (and repaired from a buddy) instead of rendered.
-  //
-  // Keyed storage makes stage() idempotent: a retransmitted, duplicated, or
-  // repair-driven stage for the same (block, field) replaces the earlier
-  // copy instead of compositing the block twice. Map nodes churn once per
-  // staged block and all die at deactivate, so they live in the backend's
-  // slab arena (rewound when no iteration is active) instead of the heap.
-  struct StoredBlock {
-    std::vector<std::byte> data;
-    std::uint32_t checksum = 0;
-    net::ProcId sender = net::kInvalidProc;
-    std::vector<net::ProcId> copyset;
-  };
-  struct StagingSlot {
-    using IndexKey = std::pair<std::uint64_t, std::string>;
-    using IndexAlloc =
-        common::ArenaAllocator<std::pair<const IndexKey, StoredBlock>>;
-
-    explicit StagingSlot(common::Arena& arena) : blocks(IndexAlloc(arena)) {}
-
-    std::map<IndexKey, StoredBlock, std::less<IndexKey>, IndexAlloc> blocks;
-  };
-
-  [[nodiscard]] StoredBlock* find_stored(std::uint64_t iteration,
-                                         std::uint64_t block_id,
-                                         const std::string& field);
-
   catalyst::PipelineScript script_;
   bool first_execute_ = true;  // models VTK/Python init on first use
-  common::Arena arena_{16 * 1024};  // must outlive staged_ (declared first)
-  std::map<std::uint64_t, StagingSlot> staged_;
   render::FrameBuffer fb_;
   std::vector<Record> records_;
 };

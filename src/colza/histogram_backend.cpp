@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "vis/data.hpp"
 
@@ -10,45 +9,34 @@ namespace colza {
 
 HistogramBackend::HistogramBackend(Context ctx) : Backend(std::move(ctx)) {
   field_ = ctx_.config.string_or("field", "v");
-  bins_ = static_cast<std::uint32_t>(ctx_.config.number_or("bins", 32));
+  // Clamped as a double: converting a negative, NaN or huge value straight
+  // to an integer is undefined, and a huge one would size a giant counts
+  // vector. NaN fails `>= 1` and lands on one bin.
+  const double bins = ctx_.config.number_or("bins", 32);
+  bins_ = bins >= 1 ? static_cast<std::uint32_t>(std::min(bins, 65536.0)) : 1;
   lo_ = static_cast<float>(ctx_.config.number_or("range_lo", 0.0));
   hi_ = static_cast<float>(ctx_.config.number_or("range_hi", 1.0));
-  if (bins_ == 0) bins_ = 1;
-}
-
-Status HistogramBackend::activate(std::uint64_t iteration) {
-  // Fresh slot even on re-activation: the client re-stages every block, so
-  // blocks left by an earlier attempt must not leak into this one.
-  active_[iteration].clear();
-  return Status::Ok();
 }
 
 Status HistogramBackend::stage(StagedBlock block) {
-  auto it = active_.find(block.iteration);
-  if (it == active_.end())
-    return Status::FailedPrecondition("histogram: iteration not active");
   // Validate the block up front -- it must parse and carry the configured
   // field -- so a misconfigured pipeline fails the stage RPC, not a later
   // execute. The bytes just passed the pull-time CRC, so this parse reads
   // known-good data; accumulation still waits for execute(), behind a fresh
   // CRC check, so bytes that rot in staging memory never skew the counts.
-  try {
-    Local probe;
-    probe.counts.assign(bins_, 0);
-    Status s = accumulate(vis::deserialize_dataset(block.data), probe);
-    if (!s.ok()) return s;
-  } catch (const std::exception& e) {
-    return Status::InvalidArgument(std::string("histogram: bad dataset: ") +
-                                   e.what());
+  // A block for an inactive iteration is refused by Backend::stage unparsed.
+  if (staged_.is_open(block.iteration)) {
+    try {
+      Local probe;
+      probe.counts.assign(bins_, 0);
+      Status s = accumulate(vis::deserialize_dataset(block.data), probe);
+      if (!s.ok()) return s;
+    } catch (const std::exception& e) {
+      return Status::InvalidArgument(std::string("histogram: bad dataset: ") +
+                                     e.what());
+    }
   }
-  StoredBlock stored;
-  stored.data = std::move(block.data);
-  stored.checksum = block.checksum;
-  stored.sender = block.sender;
-  stored.copyset = std::move(block.copyset);
-  it->second.insert_or_assign(std::make_pair(block.block_id, block.field_name),
-                              std::move(stored));
-  return Status::Ok();
+  return Backend::stage(std::move(block));
 }
 
 Status HistogramBackend::accumulate(const vis::DataSet& ds,
@@ -75,8 +63,13 @@ Status HistogramBackend::accumulate(const vis::DataSet& ds,
     local.min_seen = std::min<double>(local.min_seen, v);
     local.max_seen = std::max<double>(local.max_seen, v);
     ++local.values;
-    if (v < lo_ || width <= 0) {
+    // Range tests stay in float so the integer cast only ever sees a value
+    // in [0, bins_]: below range (and NaN, which fails every comparison)
+    // counts in bin 0, at or above range_hi in the top bin.
+    if (!(v >= lo_) || width <= 0) {
       ++local.counts[0];
+    } else if (v >= hi_) {
+      ++local.counts[bins_ - 1];
     } else {
       const auto bin = std::min<std::uint32_t>(
           bins_ - 1, static_cast<std::uint32_t>((v - lo_) / width));
@@ -87,45 +80,28 @@ Status HistogramBackend::accumulate(const vis::DataSet& ds,
 }
 
 Status HistogramBackend::execute(std::uint64_t iteration) {
-  auto it = active_.find(iteration);
-  if (it == active_.end())
+  if (!staged_.is_open(iteration))
     return Status::FailedPrecondition("histogram: iteration not active");
   if (comm_ == nullptr)
     return Status::FailedPrecondition("histogram: no communicator");
 
-  // Rebuild the local accumulation from the stored blocks every call:
-  // verify-then-parse per block (one virtual instant each, so a corruption
-  // event cannot slip between check and use), abort before any collective on
-  // a mismatch, and since nothing is accumulated incrementally at stage
+  // Rebuild the local accumulation from the stored blocks every call,
+  // verify-then-accumulate per block; a mismatch aborts before any
+  // collective, and since nothing is accumulated incrementally at stage
   // time, a recovery-driven re-execute can never double-count a block.
-  auto& sim = ctx_.proc->sim();
   Local local;
   local.counts.assign(bins_, 0);
-  for (auto& [key, stored] : it->second) {
-    bool corrupt = false;
-    Status s;
-    auto parse_and_accumulate = [&]() -> Status {
-      if (common::crc32c(stored.data) != stored.checksum) {
-        corrupt = true;
-        return Status::Ok();  // replaced with Corrupt below
-      }
-      try {
-        return accumulate(vis::deserialize_dataset(stored.data), local);
-      } catch (const std::exception& e) {
-        return Status::InvalidArgument(
-            std::string("histogram: bad dataset: ") + e.what());
-      }
-    };
-    s = sim.in_fiber() ? sim.charge_scoped(parse_and_accumulate)
-                       : parse_and_accumulate();
-    if (corrupt) {
-      return Status::Corrupt("histogram: block " + std::to_string(key.first) +
-                                 " field '" + key.second +
-                                 "' failed checksum verification",
-                             key.first + 1);
-    }
-    if (!s.ok()) return s;
-  }
+  Status s = staged_.for_each_verified(
+      ctx_.proc->sim(), iteration,
+      [&](const StagedBlockStore::Key&, std::span<const std::byte> data) {
+        try {
+          return accumulate(vis::deserialize_dataset(data), local);
+        } catch (const std::exception& e) {
+          return Status::InvalidArgument(
+              std::string("histogram: bad dataset: ") + e.what());
+        }
+      });
+  if (!s.ok()) return s;
 
   Result result;
   result.iteration = iteration;
@@ -135,7 +111,7 @@ Status HistogramBackend::execute(std::uint64_t iteration) {
   std::vector<std::uint64_t> send = local.counts;
   send.push_back(local.values);
   std::vector<std::uint64_t> recv(send.size());
-  Status s = comm_->allreduce(
+  s = comm_->allreduce(
       {reinterpret_cast<const std::byte*>(send.data()),
        send.size() * sizeof(std::uint64_t)},
       {reinterpret_cast<std::byte*>(recv.data()),
@@ -157,62 +133,6 @@ Status HistogramBackend::execute(std::uint64_t iteration) {
 
   results_.push_back(std::move(result));
   return Status::Ok();
-}
-
-Status HistogramBackend::deactivate(std::uint64_t iteration) {
-  active_.erase(iteration);
-  return Status::Ok();
-}
-
-HistogramBackend::StoredBlock* HistogramBackend::find_stored(
-    std::uint64_t iteration, std::uint64_t block_id,
-    const std::string& field) {
-  auto it = active_.find(iteration);
-  if (it == active_.end()) return nullptr;
-  auto b = it->second.find(std::make_pair(block_id, field));
-  return b == it->second.end() ? nullptr : &b->second;
-}
-
-std::vector<Backend::BlockInfo> HistogramBackend::integrity_scan(
-    std::uint64_t iteration) {
-  std::vector<BlockInfo> out;
-  auto it = active_.find(iteration);
-  if (it == active_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [key, stored] : it->second) {
-    BlockInfo info;
-    info.block_id = key.first;
-    info.field_name = key.second;
-    info.checksum = stored.checksum;
-    info.bytes = stored.data.size();
-    info.valid = common::crc32c(stored.data) == stored.checksum;
-    info.copyset = stored.copyset;
-    out.push_back(std::move(info));
-  }
-  return out;  // map order == sorted (block_id, field) order
-}
-
-bool HistogramBackend::fetch_block(std::uint64_t iteration,
-                                   std::uint64_t block_id,
-                                   const std::string& field,
-                                   StagedBlock& out) {
-  StoredBlock* stored = find_stored(iteration, block_id, field);
-  if (stored == nullptr) return false;
-  out.iteration = iteration;
-  out.block_id = block_id;
-  out.field_name = field;
-  out.sender = stored->sender;
-  out.data = stored->data;  // served as-is; the requester verifies
-  out.checksum = stored->checksum;
-  out.copyset = stored->copyset;
-  return true;
-}
-
-std::vector<std::byte>* HistogramBackend::stored_payload(
-    std::uint64_t iteration, std::uint64_t block_id,
-    const std::string& field) {
-  StoredBlock* stored = find_stored(iteration, block_id, field);
-  return stored == nullptr ? nullptr : &stored->data;
 }
 
 json::Value HistogramBackend::stats() const {

@@ -12,9 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "colza/backend.hpp"
@@ -26,25 +24,15 @@ class HistogramBackend final : public Backend {
  public:
   explicit HistogramBackend(Context ctx);
 
-  Status activate(std::uint64_t iteration) override;
+  // Validates the block (it must parse and carry the configured field), then
+  // stores it through Backend::stage.
   Status stage(StagedBlock block) override;
   Status execute(std::uint64_t iteration) override;
-  Status deactivate(std::uint64_t iteration) override;
 
   [[nodiscard]] json::Value stats() const override;
   [[nodiscard]] bool stateful() const override { return true; }
   [[nodiscard]] std::vector<std::byte> export_state() override;
   Status import_state(std::span<const std::byte> state) override;
-
-  [[nodiscard]] std::vector<BlockInfo> integrity_scan(
-      std::uint64_t iteration) override;
-  [[nodiscard]] bool fetch_block(std::uint64_t iteration,
-                                 std::uint64_t block_id,
-                                 const std::string& field,
-                                 StagedBlock& out) override;
-  [[nodiscard]] std::vector<std::byte>* stored_payload(
-      std::uint64_t iteration, std::uint64_t block_id,
-      const std::string& field) override;
 
   struct Result {
     std::uint64_t iteration = 0;
@@ -65,30 +53,15 @@ class HistogramBackend final : public Backend {
   std::string field_;
   std::uint32_t bins_ = 32;
   float lo_ = 0.0f, hi_ = 1.0f;
-  // Per-active-iteration raw staged blocks, keyed by (block_id, field) so a
-  // retransmitted or repair-driven restage replaces its earlier copy instead
-  // of counting the block's values twice. Accumulation happens from scratch
-  // at execute() -- behind a fresh CRC check per block -- which also makes
-  // execute idempotent across recovery retries.
-  struct StoredBlock {
-    std::vector<std::byte> data;
-    std::uint32_t checksum = 0;
-    net::ProcId sender = net::kInvalidProc;
-    std::vector<net::ProcId> copyset;
-  };
-  using BlockKey = std::pair<std::uint64_t, std::string>;
-  using Slot = std::map<BlockKey, StoredBlock>;
-  // Scratch accumulation state, rebuilt per execute().
+  // Scratch accumulation state. Staged blocks stay raw in staged_ and are
+  // accumulated from scratch at every execute() -- behind a fresh CRC check
+  // per block -- which also makes execute idempotent across recovery retries.
   struct Local {
     std::vector<std::uint64_t> counts;
     std::uint64_t values = 0;
     double min_seen = 1e300, max_seen = -1e300;
   };
   [[nodiscard]] Status accumulate(const vis::DataSet& ds, Local& local) const;
-  [[nodiscard]] StoredBlock* find_stored(std::uint64_t iteration,
-                                         std::uint64_t block_id,
-                                         const std::string& field);
-  std::map<std::uint64_t, Slot> active_;
   std::vector<Result> results_;
 };
 

@@ -159,17 +159,26 @@ std::size_t Server::replica_count(const std::string& pipeline,
                                   std::uint64_t iteration) const {
   auto pit = replicas_.find(pipeline);
   if (pit == replicas_.end()) return 0;
-  auto it = pit->second.find(iteration);
-  return it == pit->second.end() ? 0 : it->second.size();
+  const StagedBlockStore::Slot* slot = pit->second.slot(iteration);
+  return slot == nullptr ? 0 : slot->size();
+}
+
+StagedBlockStore::Block* Server::find_replica(const std::string& pipeline,
+                                              std::uint64_t iteration,
+                                              std::uint64_t block_id,
+                                              const std::string& field) {
+  auto pit = replicas_.find(pipeline);
+  return pit == replicas_.end() ? nullptr
+                                : pit->second.find(iteration, block_id, field);
 }
 
 void Server::promote_replicas(const std::string& name, Backend* backend,
                               std::uint64_t iteration) {
   auto pit = replicas_.find(name);
   if (pit == replicas_.end()) return;
-  auto it = pit->second.find(iteration);
-  if (it == pit->second.end()) return;
-  for (auto& [key, rb] : it->second) {
+  const StagedBlockStore::Slot* slot = pit->second.slot(iteration);
+  if (slot == nullptr) return;
+  for (const auto& [key, rb] : *slot) {
     // Promote only when this server is the first recorded copyset member
     // still present in the frozen recovery view: every view member computes
     // the same answer, so exactly one copy of each block reaches a backend.
@@ -195,50 +204,73 @@ void Server::promote_replicas(const std::string& name, Backend* backend,
 
 // ---------------------------------------------------------------- integrity
 
-bool Server::repair_block(const std::string& name, Backend* backend,
-                          std::uint64_t iteration,
-                          const Backend::BlockInfo& info) {
+void Server::note_mismatch(std::uint64_t block_id, const std::string& where) {
+  ++integrity_.mismatches;
+  obs::MetricsRegistry::global().counter("integrity.mismatch").inc();
+  obs::Tracer::global().instant(
+      "integrity.mismatch", "integrity",
+      "\"block\":" + std::to_string(block_id) + ",\"member\":" +
+          std::to_string(proc_->id()) + where);
+}
+
+void Server::note_repair(std::uint64_t bytes) {
   auto& metrics = obs::MetricsRegistry::global();
-  obs::SpanScope span("integrity.repair", "integrity");
-  span.arg("block", info.block_id);
-  for (net::ProcId buddy : info.copyset) {
+  ++integrity_.repairs;
+  integrity_.repair_bytes += bytes;
+  metrics.counter("integrity.repair").inc();
+  metrics.counter("integrity.repair_bytes").inc(bytes);
+}
+
+bool Server::fetch_intact_copy(
+    const std::string& name, std::uint64_t iteration, std::uint64_t block_id,
+    const std::string& field, const std::vector<net::ProcId>& copyset,
+    std::uint32_t checksum,
+    const std::function<bool(net::ProcId, std::vector<std::byte>)>& install) {
+  for (net::ProcId buddy : copyset) {
     if (buddy == proc_->id()) continue;
-    auto r = engine_->call_raw(
-        buddy, "colza.fetch_block",
-        pack(name, iteration, info.block_id, info.field_name));
+    auto r = engine_->call_raw(buddy, "colza.fetch_block",
+                               pack(name, iteration, block_id, field));
     if (!r.has_value()) continue;
     std::vector<std::byte> data;
-    std::uint32_t checksum = 0;
-    unpack(*r, data, checksum);
+    std::uint32_t served = 0;
+    unpack(*r, data, served);
     // The buddy serves its copy unverified (it cannot know its own bytes
     // rotted); the requester is the arbiter.
-    if (common::crc32c(data) != checksum) {
+    if (common::crc32c(data) != served) {
       Supervisor::report_bad_bytes(proc_->sim(), buddy);
       continue;
     }
-    if (checksum != info.checksum) continue;  // different generation
-    // Re-stage the verified copy: keyed backend staging replaces the rotten
-    // bytes in place. The flow-control charge recorded at the original stage
-    // still matches (repair restores the original size), so no re-admission
-    // is needed.
-    const std::uint64_t bytes = data.size();
-    StagedBlock block;
-    block.iteration = iteration;
-    block.block_id = info.block_id;
-    block.field_name = info.field_name;
-    block.sender = buddy;
-    block.data = std::move(data);
-    block.checksum = checksum;
-    block.copyset = info.copyset;
-    if (!backend->stage(std::move(block)).ok()) continue;
-    ++integrity_.repairs;
-    integrity_.repair_bytes += bytes;
-    metrics.counter("integrity.repair").inc();
-    metrics.counter("integrity.repair_bytes").inc(bytes);
-    span.arg("bytes", bytes);
-    return true;
+    if (served != checksum) continue;  // different generation
+    if (install(buddy, std::move(data))) return true;
   }
   return false;
+}
+
+bool Server::repair_block(const std::string& name, Backend* backend,
+                          std::uint64_t iteration, const BlockInfo& info) {
+  obs::SpanScope span("integrity.repair", "integrity");
+  span.arg("block", info.block_id);
+  return fetch_intact_copy(
+      name, iteration, info.block_id, info.field_name, info.copyset,
+      info.checksum, [&](net::ProcId buddy, std::vector<std::byte> data) {
+        // Re-stage the verified copy: keyed backend staging replaces the
+        // rotten bytes in place. The flow-control charge recorded at the
+        // original stage still matches (repair restores the original size),
+        // so no re-admission is needed.
+        const std::uint64_t bytes = data.size();
+        StagedBlock block;
+        block.iteration = iteration;
+        block.block_id = info.block_id;
+        block.field_name = info.field_name;
+        block.sender = buddy;
+        block.data = std::move(data);
+        block.checksum = info.checksum;
+        block.copyset = info.copyset;
+        if (!backend->stage(std::move(block)).ok()) return false;
+        note_repair(bytes);
+        span.arg("bytes", bytes);
+        return true;
+      });
 }
 
 Status Server::verify_and_repair(const std::string& name, Backend* backend,
@@ -252,12 +284,7 @@ Status Server::verify_and_repair(const std::string& name, Backend* backend,
   Status result = Status::Ok();
   for (const auto& info : scan) {
     if (info.valid) continue;
-    ++integrity_.mismatches;
-    metrics.counter("integrity.mismatch").inc();
-    obs::Tracer::global().instant(
-        "integrity.mismatch", "integrity",
-        "\"block\":" + std::to_string(info.block_id) + ",\"member\":" +
-            std::to_string(proc_->id()));
+    note_mismatch(info.block_id, "");
     // Our own storage rotted: strike ourselves, so a daemon on memory that
     // keeps corrupting data eventually gets its node quarantined.
     Supervisor::report_bad_bytes(proc_->sim(), proc_->id());
@@ -297,58 +324,36 @@ void Server::scrub_pass() {
   }
   // The buddy-replica store: same verify/repair cycle, repaired in place so
   // a later promotion hands the backend intact bytes.
-  std::vector<std::tuple<std::string, std::uint64_t, ReplicaKey>> rkeys;
-  for (const auto& [name, iters] : replicas_) {
-    for (const auto& [iteration, rmap] : iters) {
-      for (const auto& [key, rb] : rmap) rkeys.emplace_back(name, iteration, key);
-    }
+  std::vector<std::tuple<std::string, std::uint64_t, StagedBlockStore::Key>>
+      rkeys;
+  for (auto& [name, store] : replicas_) {
+    store.for_each([&](std::uint64_t iteration,
+                       const StagedBlockStore::Key& key,
+                       const StagedBlockStore::Block&) {
+      rkeys.emplace_back(name, iteration, key);
+    });
   }
   for (const auto& [name, iteration, key] : rkeys) {
     if (left_ || !proc_->alive()) return;
-    auto find_replica = [&]() -> ReplicaBlock* {
-      auto pit = replicas_.find(name);
-      if (pit == replicas_.end()) return nullptr;
-      auto iit = pit->second.find(iteration);
-      if (iit == pit->second.end()) return nullptr;
-      auto bit = iit->second.find(key);
-      return bit == iit->second.end() ? nullptr : &bit->second;
-    };
-    ReplicaBlock* rb = find_replica();
+    const auto* rb = find_replica(name, iteration, key.first, key.second);
     if (rb == nullptr) continue;  // deactivated while we were scrubbing
     ++integrity_.verifies;
     metrics.counter("integrity.verify").inc();
     if (common::crc32c(rb->data) == rb->checksum) continue;
-    ++integrity_.mismatches;
-    metrics.counter("integrity.mismatch").inc();
-    obs::Tracer::global().instant(
-        "integrity.mismatch", "integrity",
-        "\"block\":" + std::to_string(key.first) + ",\"member\":" +
-            std::to_string(proc_->id()) + ",\"replica\":1");
+    note_mismatch(key.first, ",\"replica\":1");
     Supervisor::report_bad_bytes(proc_->sim(), proc_->id());
-    const auto copyset = rb->copyset;  // rb may dangle across the RPCs below
-    const std::uint32_t want = rb->checksum;
-    for (net::ProcId buddy : copyset) {
-      if (buddy == proc_->id()) continue;
-      auto r = engine_->call_raw(buddy, "colza.fetch_block",
-                                 pack(name, iteration, key.first, key.second));
-      if (!r.has_value()) continue;
-      std::vector<std::byte> data;
-      std::uint32_t checksum = 0;
-      unpack(*r, data, checksum);
-      if (common::crc32c(data) != checksum) {
-        Supervisor::report_bad_bytes(proc_->sim(), buddy);
-        continue;
-      }
-      if (checksum != want) continue;
-      rb = find_replica();
-      if (rb == nullptr) break;
-      ++integrity_.repairs;
-      integrity_.repair_bytes += data.size();
-      metrics.counter("integrity.repair").inc();
-      metrics.counter("integrity.repair_bytes").inc(data.size());
-      rb->data = std::move(data);
-      break;
-    }
+    // Copied: rb may dangle across the fetch RPCs.
+    const std::vector<net::ProcId> copyset = rb->copyset;
+    fetch_intact_copy(
+        name, iteration, key.first, key.second, copyset, rb->checksum,
+        [&](net::ProcId, std::vector<std::byte> data) {
+          auto* live = find_replica(name, iteration, key.first, key.second);
+          if (live != nullptr) {  // else deactivated meanwhile: stop anyway
+            note_repair(data.size());
+            live->data = std::move(data);
+          }
+          return true;
+        });
   }
   ++integrity_.scrub_passes;
   metrics.counter("integrity.scrub").inc();
@@ -371,12 +376,11 @@ common::integrity::CorruptResult Server::corrupt_storage(
       }
     }
   }
-  for (auto& [name, iters] : replicas_) {
-    for (auto& [iteration, rmap] : iters) {
-      for (auto& [key, rb] : rmap) {
-        if (!rb.data.empty()) candidates.push_back(&rb.data);
-      }
-    }
+  for (auto& [name, store] : replicas_) {
+    store.for_each([&](std::uint64_t, const StagedBlockStore::Key&,
+                       StagedBlockStore::Block& rb) {
+      if (!rb.data.empty()) candidates.push_back(&rb.data);
+    });
   }
   if (candidates.empty()) {
     // Staged windows last milliseconds; an instant-only rule would almost
@@ -586,9 +590,7 @@ void Server::install_handlers() {
     // Fresh activation: replicas of a previous incarnation of this
     // iteration are stale (the client re-stages everything), and so are
     // their flow-control charges.
-    if (auto rit = replicas_.find(pipeline); rit != replicas_.end()) {
-      rit->second.erase(iteration);
-    }
+    replicas_[pipeline].open(iteration);
     flow_->free_iteration(pipeline, iteration);
     return p->activate(iteration);
   });
@@ -629,45 +631,16 @@ void Server::install_handlers() {
       ++integrity_.verifies;
       metrics.counter("integrity.verify").inc();
       if (common::crc32c(data) == meta.checksum) return Status::Ok();
-      ++integrity_.mismatches;
-      metrics.counter("integrity.mismatch").inc();
-      obs::Tracer::global().instant(
-          "integrity.mismatch", "integrity",
-          "\"block\":" + std::to_string(meta.block_id) + ",\"member\":" +
-              std::to_string(proc_->id()) + ",\"in_transit\":1");
+      note_mismatch(meta.block_id, ",\"in_transit\":1");
       return Status::Corrupt("stage: block " + std::to_string(meta.block_id) +
                                  " failed checksum after RDMA pull",
                              meta.block_id + 1);
     };
-    if (meta.replica_rank > 0) {
-      // Buddy copy: held in the server-level replica store, invisible to
-      // the backend unless promoted during a recovery execute.
-      if (active_set_.count(meta.iteration) == 0) {
-        uncharge_on_failure();
-        return Status::FailedPrecondition("replica stage: iteration " +
-                                          std::to_string(meta.iteration) +
-                                          " not active");
-      }
-      ReplicaBlock rb;
-      rb.copyset = meta.copyset;
-      rb.sender = info.caller;
-      rb.checksum = meta.checksum;
-      rb.data.resize(meta.data.size);
-      Status s = engine_->rdma_pull(meta.data, 0, rb.data);
-      if (s.ok()) s = verify_pull(rb.data);
-      if (!s.ok()) {
-        uncharge_on_failure();
-        return s;
-      }
-      obs::MetricsRegistry::global()
-          .counter("colza.server.replica_bytes_pulled")
-          .inc(meta.data.size);
-      // Rot-on-write: a deferred chaos corruption lands on the verified
-      // bytes after the pull check, so it stays silent until the next read.
-      apply_pending_corrupt(rb.data);
-      replicas_[meta.pipeline][meta.iteration]
-               [ReplicaKey{meta.block_id, meta.field_name}] = std::move(rb);
-      return Status::Ok();
+    if (meta.replica_rank > 0 && active_set_.count(meta.iteration) == 0) {
+      uncharge_on_failure();
+      return Status::FailedPrecondition("replica stage: iteration " +
+                                        std::to_string(meta.iteration) +
+                                        " not active");
     }
     // Pull the data from the simulation's memory via RDMA (paper S II-B).
     StagedBlock block;
@@ -685,12 +658,16 @@ void Server::install_handlers() {
       return s;
     }
     obs::MetricsRegistry::global()
-        .counter("colza.server.bytes_pulled")
+        .counter(meta.replica_rank > 0 ? "colza.server.replica_bytes_pulled"
+                                       : "colza.server.bytes_pulled")
         .inc(meta.data.size);
     // Rot-on-write: a deferred chaos corruption lands on the verified bytes
     // after the pull check, so it stays silent until the next read.
     apply_pending_corrupt(block.data);
-    s = p->stage(std::move(block));
+    // A buddy copy goes to the server-level replica store, invisible to the
+    // backend unless promoted during a recovery execute.
+    s = meta.replica_rank > 0 ? replicas_[meta.pipeline].put(std::move(block))
+                              : p->stage(std::move(block));
     if (!s.ok()) uncharge_on_failure();
     return s;
   });
@@ -747,17 +724,11 @@ void Server::install_handlers() {
       found = p->fetch_block(iteration, block_id, field, block);
     }
     if (!found) {
-      auto pit = replicas_.find(pipeline);
-      if (pit != replicas_.end()) {
-        auto iit = pit->second.find(iteration);
-        if (iit != pit->second.end()) {
-          auto bit = iit->second.find(ReplicaKey{block_id, field});
-          if (bit != iit->second.end()) {
-            block.data = bit->second.data;
-            block.checksum = bit->second.checksum;
-            found = true;
-          }
-        }
+      if (const auto* rb = find_replica(pipeline, iteration, block_id, field);
+          rb != nullptr) {
+        block.data = rb->data;
+        block.checksum = rb->checksum;
+        found = true;
       }
     }
     if (!found)
@@ -781,7 +752,7 @@ void Server::install_handlers() {
     Status s = p->deactivate(iteration);
     active_set_.erase(iteration);
     if (auto rit = replicas_.find(pipeline); rit != replicas_.end()) {
-      rit->second.erase(iteration);
+      rit->second.close(iteration);
     }
     flow_->free_iteration(pipeline, iteration);
     if (active_set_.empty() && leave_pending_) finish_leave();

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -155,20 +156,6 @@ class Server {
     std::shared_ptr<Backend> backend;
   };
 
-  // A buddy copy of a staged block (replica_rank > 0). Replicas live at the
-  // server level -- backends stay replica-agnostic -- keyed by pipeline,
-  // iteration, then (block_id, field). The recorded copyset lets every
-  // member of a recovery view decide locally, and identically, who promotes
-  // the block: the first copyset member still in the frozen service view.
-  struct ReplicaBlock {
-    std::vector<net::ProcId> copyset;
-    net::ProcId sender = net::kInvalidProc;
-    std::vector<std::byte> data;
-    std::uint32_t checksum = 0;  // stage-time CRC32C of `data`
-  };
-  using ReplicaKey = std::pair<std::uint64_t, std::string>;
-  using ReplicaMap = std::map<ReplicaKey, ReplicaBlock>;
-
   // Feeds every replica this server must promote (first live copyset member
   // == self) for `iteration` into the backend's staging slot. Idempotent:
   // backend staging is keyed, so re-promotion on an execute retry replaces
@@ -188,7 +175,29 @@ class Server {
   // One repair attempt for a single invalid block; true when an intact copy
   // was verified and staged back.
   bool repair_block(const std::string& name, Backend* backend,
-                    std::uint64_t iteration, const Backend::BlockInfo& info);
+                    std::uint64_t iteration, const BlockInfo& info);
+  // Asks the other members of `copyset`, in order, for their copy of the
+  // block (colza.fetch_block) and verifies each reply locally -- a reply
+  // that fails its own CRC strikes the member that served it. The first
+  // intact copy of generation `checksum` goes to `install` (with the member
+  // that served it); the search stops once `install` returns true. Returns
+  // whether it did.
+  bool fetch_intact_copy(
+      const std::string& name, std::uint64_t iteration,
+      std::uint64_t block_id, const std::string& field,
+      const std::vector<net::ProcId>& copyset, std::uint32_t checksum,
+      const std::function<bool(net::ProcId, std::vector<std::byte>)>&
+          install);
+  // Counts a stored or pulled copy that failed its CRC check (`where` tags
+  // the trace event, e.g. ",\"replica\":1").
+  void note_mismatch(std::uint64_t block_id, const std::string& where);
+  // Counts a block restored from a buddy's copy of `bytes` bytes.
+  void note_repair(std::uint64_t bytes);
+  // The buddy replica under (pipeline, iteration, block_id, field), or
+  // nullptr.
+  [[nodiscard]] StagedBlockStore::Block* find_replica(
+      const std::string& pipeline, std::uint64_t iteration,
+      std::uint64_t block_id, const std::string& field);
   // One scrubber sweep over everything staged here: backend slots (via
   // verify_and_repair) and the buddy-replica store (repaired in place by
   // fetching from other copyset members).
@@ -229,8 +238,13 @@ class Server {
   // Last committed activation epoch per iteration (see the commit handler's
   // epoch fence).
   std::map<std::uint64_t, std::uint64_t> committed_epoch_;
-  // pipeline -> iteration -> replicas (see ReplicaBlock).
-  std::map<std::string, std::map<std::uint64_t, ReplicaMap>> replicas_;
+  // Buddy copies of staged blocks (replica_rank > 0), per pipeline. They
+  // live at the server level -- backends stay replica-agnostic -- in slots
+  // opened at each fresh activation and closed at deactivate. The recorded
+  // copyset lets every member of a recovery view decide locally, and
+  // identically, who promotes a block: the first copyset member still in the
+  // frozen service view.
+  std::map<std::string, StagedBlockStore> replicas_;
   IntegrityStats integrity_;
   // Corruptions injected while nothing was staged, waiting for the next
   // stored payload (FIFO).

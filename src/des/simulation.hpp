@@ -47,11 +47,6 @@ namespace colza::des {
 struct SimConfig {
   std::uint64_t seed = 42;
   std::size_t default_stack_size = 512 * 1024;
-  // Pending-event store selection; auto_select honors COLZA_DES_QUEUE
-  // ("heap"/"ladder") and defaults to the ladder queue. Both implementations
-  // produce bit-identical timelines; the knob exists for invariance testing
-  // and for bisecting perf regressions.
-  QueueImpl queue_impl = QueueImpl::auto_select;
   // Multiplier applied by charge_scoped to measured wall time before
   // charging, to model faster/slower simulated cores. 1.0 = host speed.
   double compute_time_scale = 1.0;

@@ -161,14 +161,6 @@ std::pair<std::size_t, std::size_t> Instance::arrival_index_stats(
 
 void Instance::demux_loop() {
   auto& box = proc_->mailbox(kMailbox);
-  if (!net::batch_delivery_enabled()) {
-    while (!stopped_) {
-      auto msg = box.recv();
-      if (!msg.has_value()) return;
-      dispatch(std::move(*msg));
-    }
-    return;
-  }
   // Incast bursts (collectives, staging fan-in) land many messages in the
   // mailbox at one virtual instant; drain them all under a single wakeup.
   while (!stopped_) {

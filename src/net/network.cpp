@@ -1,23 +1,11 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "common/log.hpp"
 
 namespace colza::net {
-
-bool& batch_delivery_flag() noexcept {
-  static bool enabled = [] {
-    const char* env = std::getenv("COLZA_BATCH_DELIVERY");
-    return env == nullptr || std::string_view(env) != "off";
-  }();
-  return enabled;
-}
-
-bool batch_delivery_enabled() noexcept { return batch_delivery_flag(); }
 
 namespace {
 // Serialization time of `bytes` at `gbps` gigabytes per second, in ns.

@@ -154,12 +154,6 @@ struct DeliveryStats {
   }
 };
 
-// COLZA_BATCH_DELIVERY=off reverts demux loops to one-message-per-wakeup
-// recv() for perf bisection; timelines are identical either way. The flag
-// reference is mutable so the invariance tests can flip it mid-process.
-[[nodiscard]] bool& batch_delivery_flag() noexcept;
-[[nodiscard]] bool batch_delivery_enabled() noexcept;
-
 // Identifies a memory region exposed for RDMA by some process. Serializable;
 // this is what Colza's stage() metadata carries instead of the data itself.
 struct BulkRef {

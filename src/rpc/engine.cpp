@@ -147,14 +147,6 @@ void Engine::shutdown() {
 
 void Engine::demux_loop() {
   auto& box = proc_->mailbox(kMailbox);
-  if (!net::batch_delivery_enabled()) {
-    while (!stopped_) {
-      auto msg = box.recv();
-      if (!msg.has_value()) return;  // mailbox closed (shutdown or kill)
-      process_message(std::move(*msg));
-    }
-    return;
-  }
   // Request/response bursts arrive at one virtual instant (incast replies,
   // fan-out requests); drain the whole mailbox under a single wakeup.
   while (!stopped_) {

@@ -4,6 +4,8 @@
 // simulation runs, and the freeze semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "colza/client.hpp"
 #include "colza/deploy.hpp"
 #include "colza/server.hpp"
+#include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
 #include "vis/data.hpp"
@@ -491,6 +494,132 @@ TEST(Histogram, StateExportImportMergesByIteration) {
   // Garbage state is rejected, not crashed on.
   std::vector<std::byte> garbage(5, std::byte{0xff});
   EXPECT_EQ(ha->import_state(garbage).code(), StatusCode::invalid_argument);
+}
+
+// Out-of-range values bin without undefined behaviour: below range_lo (and
+// NaN) in bin 0, at or above range_hi -- however far, infinity included --
+// in the top bin.
+TEST(Histogram, OutOfRangeAndNonFiniteValuesClampToEdgeBins) {
+  ColzaWorld w(2);
+  w.create_everywhere("hist", "histogram",
+                      R"({"field":"v","bins":4,"range_lo":0,"range_hi":1})");
+  w.client_proc->spawn("app", [&] {
+    auto h = DistributedPipelineHandle::lookup(
+        *w.client, w.area->bootstrap().contacts(), "hist");
+    ASSERT_TRUE(h.has_value());
+    ASSERT_TRUE(h->activate(1).ok());
+    const float inf = std::numeric_limits<float>::infinity();
+    vis::UniformGrid g;
+    g.dims = {7, 1, 1};
+    g.point_data.add(vis::DataArray::make<float>(
+        "v", std::vector<float>{0.0f, 1.0f, 2.0f, 1e30f, inf, -inf,
+                                std::nanf("")}));
+    ASSERT_TRUE(h->stage(1, 0, vis::DataSet{g}).ok());
+    ASSERT_TRUE(h->execute(1).ok());
+    ASSERT_TRUE(h->deactivate(1).ok());
+  });
+  w.sim.run();
+  // Read from the backends: the stats JSON cannot carry the infinite max.
+  for (auto& s : w.area->servers()) {
+    auto* hist = dynamic_cast<HistogramBackend*>(s->pipeline("hist"));
+    ASSERT_NE(hist, nullptr);
+    ASSERT_EQ(hist->results().size(), 1u);
+    const auto& r = hist->results()[0];
+    EXPECT_EQ(r.total_values, 7u);
+    // {lo, -inf, NaN} | - | - | {hi, 2*hi, 1e30, +inf}
+    EXPECT_EQ(r.counts, (std::vector<std::uint64_t>{3, 0, 0, 4}));
+  }
+}
+
+// ------------------------------------------------------- staged-block store
+
+StagedBlock block_of(std::uint64_t iteration, std::uint64_t id,
+                     const std::string& field, std::uint8_t fill) {
+  StagedBlock b;
+  b.iteration = iteration;
+  b.block_id = id;
+  b.field_name = field;
+  b.data.assign(16, std::byte{fill});
+  b.checksum = common::crc32c(b.data);
+  return b;
+}
+
+TEST(StagedBlockStore, PutNeedsAnOpenSlotAndReopenDropsBlocks) {
+  StagedBlockStore store;
+  EXPECT_EQ(store.put(block_of(1, 0, "v", 1)).code(),
+            StatusCode::failed_precondition);
+  store.open(1);
+  ASSERT_TRUE(store.put(block_of(1, 0, "v", 1)).ok());
+  ASSERT_TRUE(store.put(block_of(1, 1, "v", 2)).ok());
+  // Keyed: a restage of (0, "v") replaces the earlier copy.
+  ASSERT_TRUE(store.put(block_of(1, 0, "v", 3)).ok());
+  ASSERT_EQ(store.slot(1)->size(), 2u);
+  EXPECT_EQ(store.find(1, 0, "v")->data[0], std::byte{3});
+  // Re-opening the iteration starts from an empty slot.
+  store.open(1);
+  EXPECT_EQ(store.slot(1)->size(), 0u);
+  EXPECT_EQ(store.find(1, 0, "v"), nullptr);
+  store.close(1);
+  EXPECT_FALSE(store.is_open(1));
+  EXPECT_EQ(store.put(block_of(1, 0, "v", 1)).code(),
+            StatusCode::failed_precondition);
+}
+
+// A pipeline that keeps every Backend default, to exercise the base's
+// store-backed stage / integrity_scan / stored_payload.
+class StoreOnlyBackend final : public Backend {
+ public:
+  using Backend::Backend;
+  Status execute(std::uint64_t) override { return Status::Ok(); }
+};
+
+TEST(StagedBlockStore, ScanIsSortedAndSeesStoredPayloadRot) {
+  StoreOnlyBackend b(Backend::Context{});
+  ASSERT_TRUE(b.activate(3).ok());
+  ASSERT_TRUE(b.stage(block_of(3, 5, "v", 1)).ok());
+  ASSERT_TRUE(b.stage(block_of(3, 1, "w", 2)).ok());
+  ASSERT_TRUE(b.stage(block_of(3, 1, "v", 3)).ok());
+  ASSERT_TRUE(b.stage(block_of(3, 2, "v", 4)).ok());
+  const std::vector<std::pair<std::uint64_t, std::string>> order = {
+      {1, "v"}, {1, "w"}, {2, "v"}, {5, "v"}};
+  auto scan = b.integrity_scan(3);
+  ASSERT_EQ(scan.size(), order.size());
+  for (std::size_t i = 0; i < scan.size(); ++i) {
+    EXPECT_EQ(scan[i].block_id, order[i].first);
+    EXPECT_EQ(scan[i].field_name, order[i].second);
+    EXPECT_TRUE(scan[i].valid);
+  }
+
+  std::vector<std::byte>* payload = b.stored_payload(3, 2, "v");
+  ASSERT_NE(payload, nullptr);
+  (*payload)[7] ^= std::byte{0x10};
+  scan = b.integrity_scan(3);
+  for (const BlockInfo& info : scan) {
+    EXPECT_EQ(info.valid, info.block_id != 2) << "block " << info.block_id;
+  }
+  EXPECT_EQ(b.stored_payload(3, 9, "v"), nullptr);
+  ASSERT_TRUE(b.deactivate(3).ok());
+  EXPECT_TRUE(b.integrity_scan(3).empty());
+}
+
+TEST(StagedBlockStore, ForEachVerifiedStopsAtFirstRottenBlock) {
+  des::Simulation sim;
+  StagedBlockStore store;
+  store.open(1);
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    ASSERT_TRUE(store.put(block_of(1, id, "v", 7)).ok());
+  }
+  store.find(1, 2, "v")->data[0] = std::byte{0};  // rot block 2 in place
+  std::vector<std::uint64_t> used;
+  const Status s = store.for_each_verified(
+      sim, 1,
+      [&](const StagedBlockStore::Key& key, std::span<const std::byte>) {
+        used.push_back(key.first);
+        return Status::Ok();
+      });
+  EXPECT_EQ(s.code(), StatusCode::corrupt);
+  EXPECT_EQ(s.detail(), 3u);  // block_id + 1
+  EXPECT_EQ(used, (std::vector<std::uint64_t>{0, 1}));
 }
 
 // ------------------------------------------------------------- elasticity

@@ -18,8 +18,10 @@
 #include "colza/client.hpp"
 #include "colza/deploy.hpp"
 #include "colza/fault.hpp"
+#include "colza/histogram_backend.hpp"
 #include "colza/server.hpp"
 #include "colza/supervisor.hpp"
+#include "common/hash.hpp"
 #include "common/integrity.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
@@ -33,13 +35,19 @@ using common::integrity::Registry;
 using des::milliseconds;
 using des::seconds;
 
-// Staging area with n servers running a catalyst pipeline, one client, and
-// pre-serialized mandelbulb blocks. fixed_scoped_charge pins the wall-clock
-// coupled charge sites so integrity counters are exactly reproducible.
+// The pipeline types the integrity layer is exercised over: both built-in
+// backends keep their staged blocks in the shared StagedBlockStore.
+constexpr const char* kCatalyst = "catalyst";
+constexpr const char* kHistogram = "histogram";
+
+// Staging area with n servers running a `type` pipeline named "render", one
+// client, and pre-serialized mandelbulb blocks. fixed_scoped_charge pins the
+// wall-clock coupled charge sites so integrity counters are exactly
+// reproducible.
 class IntegrityWorld {
  public:
   IntegrityWorld(int n, std::uint32_t nblocks, des::Duration scrub,
-                 std::uint64_t seed = 21)
+                 std::uint64_t seed = 21, const std::string& type = kCatalyst)
       : sim(des::SimConfig{.seed = seed,
                            .fixed_scoped_charge = milliseconds(2)}),
         net(sim) {
@@ -51,8 +59,11 @@ class IntegrityWorld {
     area->launch_initial(n, /*base_node=*/100);
     sim.run_until(seconds(2));  // daemons up and converged
     for (auto& s : area->servers()) {
-      s->create_pipeline("render", "catalyst",
-                         R"({"preset":"mandelbulb","width":32,"height":32})")
+      s->create_pipeline(
+           "render", type,
+           type == kCatalyst
+               ? R"({"preset":"mandelbulb","width":32,"height":32})"
+               : R"({"field":"iterations","bins":16,"range_lo":0,"range_hi":32})")
           .check();
     }
     apps::MandelbulbParams mb;
@@ -95,14 +106,25 @@ class IntegrityWorld {
     return nullptr;
   }
 
-  // The compositing root's image hash for `iteration` (0 if not rendered).
+  // The pipeline's result for `iteration` as one hash (0 if none): the
+  // compositing root's image hash, or a hash of the global histogram.
   std::uint64_t hash_of(std::uint64_t iteration) {
     for (auto& s : area->servers()) {
-      auto* cat = dynamic_cast<CatalystBackend*>(s->pipeline("render"));
-      if (cat == nullptr) continue;
-      for (const auto& rec : cat->records()) {
-        if (rec.iteration == iteration && rec.image_hash != 0)
-          return rec.image_hash;
+      Backend* b = s->pipeline("render");
+      if (auto* cat = dynamic_cast<CatalystBackend*>(b); cat != nullptr) {
+        for (const auto& rec : cat->records()) {
+          if (rec.iteration == iteration && rec.image_hash != 0)
+            return rec.image_hash;
+        }
+      } else if (auto* hist = dynamic_cast<HistogramBackend*>(b);
+                 hist != nullptr) {
+        for (const auto& r : hist->results()) {
+          if (r.iteration != iteration) continue;
+          std::uint64_t h = common::fnv1a_word(common::kFnvOffsetBasis,
+                                               r.total_values);
+          for (std::uint64_t c : r.counts) h = common::fnv1a_word(h, c);
+          return h;
+        }
       }
     }
     return 0;
@@ -161,8 +183,8 @@ TEST(Integrity, ChecksumsTravelWithEveryCopy) {
 // A bit flipped in a primary backend slot is caught by the execute-time
 // verify and silently repaired from the buddy replica: the client sees a
 // clean execute and the rendered image matches the corruption-free one.
-TEST(Integrity, ExecuteRepairsPrimaryRotFromBuddyReplica) {
-  IntegrityWorld w(3, 4, /*scrub=*/0);
+void execute_repairs_primary_rot_from_buddy_replica(const std::string& type) {
+  IntegrityWorld w(3, 4, /*scrub=*/0, /*seed=*/21, type);
   net::ProcId victim = 0;
   w.run([&] {
     auto h = w.lookup();
@@ -197,6 +219,14 @@ TEST(Integrity, ExecuteRepairsPrimaryRotFromBuddyReplica) {
   EXPECT_EQ(s->integrity().restage_fallbacks, 0u);
   ASSERT_NE(w.hash_of(1), 0u);
   EXPECT_EQ(w.hash_of(2), w.hash_of(1));
+}
+
+TEST(Integrity, ExecuteRepairsPrimaryRotFromBuddyReplica) {
+  execute_repairs_primary_rot_from_buddy_replica(kCatalyst);
+}
+
+TEST(Integrity, ExecuteRepairsPrimaryRotFromBuddyReplicaHistogram) {
+  execute_repairs_primary_rot_from_buddy_replica(kHistogram);
 }
 
 // Truncation and zeroing (the other two corruption modes) are equally
@@ -235,8 +265,8 @@ TEST(Integrity, RepairsTruncatedAndZeroedPayloads) {
 // The background scrubber finds rot in the replica store -- bytes nothing
 // has read yet -- and repairs it in place from the primary before any
 // promotion could hand the backend damaged data.
-TEST(Integrity, ScrubberRepairsReplicaRotAtRest) {
-  IntegrityWorld w(3, 4, /*scrub=*/milliseconds(50));
+void scrubber_repairs_replica_rot_at_rest(const std::string& type) {
+  IntegrityWorld w(3, 4, /*scrub=*/milliseconds(50), /*seed=*/21, type);
   net::ProcId victim = 0;
   w.run([&] {
     auto h = w.lookup();
@@ -273,11 +303,20 @@ TEST(Integrity, ScrubberRepairsReplicaRotAtRest) {
   EXPECT_NE(w.hash_of(1), 0u);
 }
 
+TEST(Integrity, ScrubberRepairsReplicaRotAtRest) {
+  scrubber_repairs_replica_rot_at_rest(kCatalyst);
+}
+
+TEST(Integrity, ScrubberRepairsReplicaRotAtRestHistogram) {
+  scrubber_repairs_replica_rot_at_rest(kHistogram);
+}
+
 // Unreplicated staging (R=1): a rotted block has no buddy to repair from, so
 // execute reports Corrupt with the block id in the status detail and the
 // client re-stages exactly that block from its pristine copy.
-TEST(Integrity, NoIntactCopyReportsBlockForTargetedRestage) {
-  IntegrityWorld w(3, 4, /*scrub=*/0);
+void no_intact_copy_reports_block_for_targeted_restage(
+    const std::string& type) {
+  IntegrityWorld w(3, 4, /*scrub=*/0, /*seed=*/21, type);
   net::ProcId victim = 0;
   w.run([&] {
     auto h = w.lookup();
@@ -320,6 +359,14 @@ TEST(Integrity, NoIntactCopyReportsBlockForTargetedRestage) {
   EXPECT_EQ(s->integrity().restage_fallbacks, 1u);
   ASSERT_NE(w.hash_of(1), 0u);
   EXPECT_EQ(w.hash_of(2), w.hash_of(1));
+}
+
+TEST(Integrity, NoIntactCopyReportsBlockForTargetedRestage) {
+  no_intact_copy_reports_block_for_targeted_restage(kCatalyst);
+}
+
+TEST(Integrity, NoIntactCopyReportsBlockForTargetedRestageHistogram) {
+  no_intact_copy_reports_block_for_targeted_restage(kHistogram);
 }
 
 // Double fault: every copy of every block rots (2 servers, so each copyset

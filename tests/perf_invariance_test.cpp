@@ -1,7 +1,6 @@
-// Tier-1 gate for the DES-runtime optimizations: every perf path (ladder
-// event queue, batched mailbox delivery, SIMD kernels, slab arenas) must be
-// invisible in simulation results. Each test runs the full elastic
-// Mandelbulb scenario twice -- optimization on vs off -- and requires a
+// Tier-1 gate for the runtime-selectable kernels: the SIMD paths must be
+// invisible in simulation results. The test runs the full elastic
+// Mandelbulb scenario twice -- SIMD vs scalar -- and requires a
 // bit-identical fingerprint: DES event count, virtual end time, every
 // iteration outcome, and every execution record including render hashes.
 // A divergence here means an optimization changed behavior, not just speed.
@@ -11,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.hpp"
 #include "common/simd.hpp"
 #include "net/network.hpp"
 #include "invariants.hpp"
@@ -57,23 +55,6 @@ std::string run_fingerprint() {
   return fingerprint(testing::run_elastic_mandelbulb(scenario()));
 }
 
-TEST(PerfInvariance, LadderQueueMatchesHeap) {
-  const std::string ladder = run_fingerprint();
-  ASSERT_EQ(setenv("COLZA_DES_QUEUE", "heap", 1), 0);
-  const std::string heap = run_fingerprint();
-  ASSERT_EQ(unsetenv("COLZA_DES_QUEUE"), 0);
-  EXPECT_EQ(ladder, heap);
-}
-
-TEST(PerfInvariance, BatchedDeliveryMatchesPerMessage) {
-  net::batch_delivery_flag() = true;
-  const std::string batched = run_fingerprint();
-  net::batch_delivery_flag() = false;
-  const std::string single = run_fingerprint();
-  net::batch_delivery_flag() = true;
-  EXPECT_EQ(batched, single);
-}
-
 TEST(PerfInvariance, SimdKernelsMatchScalar) {
 #if defined(__x86_64__)
   const bool have_avx2 = __builtin_cpu_supports("avx2") != 0;
@@ -89,15 +70,6 @@ TEST(PerfInvariance, SimdKernelsMatchScalar) {
   const std::string scalar = run_fingerprint();
   common::simd::active_level() = entry;
   EXPECT_EQ(simd, scalar);
-}
-
-TEST(PerfInvariance, ArenaAllocationMatchesHeap) {
-  common::arena_enabled_flag() = true;
-  const std::string arena = run_fingerprint();
-  common::arena_enabled_flag() = false;
-  const std::string heap = run_fingerprint();
-  common::arena_enabled_flag() = true;
-  EXPECT_EQ(arena, heap);
 }
 
 }  // namespace
