@@ -1,7 +1,10 @@
 #include "colza/histogram_backend.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
+#include "common/simd.hpp"
 #include "des/simulation.hpp"
 #include "vis/data.hpp"
 
@@ -20,17 +23,17 @@ HistogramBackend::HistogramBackend(Context ctx) : Backend(std::move(ctx)) {
 
 Status HistogramBackend::stage(StagedBlock block) {
   // Validate the block up front -- it must parse and carry the configured
-  // field -- so a misconfigured pipeline fails the stage RPC, not a later
-  // execute. The bytes just passed the pull-time CRC, so this parse reads
-  // known-good data; accumulation still waits for execute(), behind a fresh
-  // CRC check, so bytes that rot in staging memory never skew the counts.
-  // A block for an inactive iteration is refused by Backend::stage unparsed.
+  // field as f32 values -- so a misconfigured pipeline fails the stage RPC,
+  // not a later execute. The bytes just passed the pull-time CRC, so this
+  // parse reads known-good data. Nothing is binned here: execute() bins each
+  // stored block once, behind a fresh CRC check, so bytes that rot in
+  // staging memory never skew the counts. A block for an inactive iteration
+  // is refused by Backend::stage unparsed.
   if (staged_.is_open(block.iteration)) {
     try {
-      Local probe;
-      probe.counts.assign(bins_, 0);
-      Status s = accumulate(vis::deserialize_dataset(block.data), probe);
-      if (!s.ok()) return s;
+      const vis::DataSet ds = vis::deserialize_dataset(block.data);
+      auto values = field_values(ds);
+      if (!values.has_value()) return values.status();
     } catch (const std::exception& e) {
       return Status::InvalidArgument(std::string("histogram: bad dataset: ") +
                                      e.what());
@@ -39,8 +42,8 @@ Status HistogramBackend::stage(StagedBlock block) {
   return Backend::stage(std::move(block));
 }
 
-Status HistogramBackend::accumulate(const vis::DataSet& ds,
-                                    Local& local) const {
+Expected<std::span<const float>> HistogramBackend::field_values(
+    const vis::DataSet& ds) const {
   // Find the field in point data, falling back to cell data.
   const vis::DataArray* arr = nullptr;
   std::visit(
@@ -57,26 +60,88 @@ Status HistogramBackend::accumulate(const vis::DataSet& ds,
   if (arr == nullptr)
     return Status::NotFound("histogram: field '" + field_ +
                             "' not in staged block");
+  return arr->as<float>();
+}
 
-  const float width = (hi_ - lo_) / static_cast<float>(bins_);
-  for (float v : arr->as<float>()) {
-    local.min_seen = std::min<double>(local.min_seen, v);
-    local.max_seen = std::max<double>(local.max_seen, v);
-    ++local.values;
-    // Range tests stay in float so the integer cast only ever sees a value
-    // in [0, bins_]: below range (and NaN, which fails every comparison)
-    // counts in bin 0, at or above range_hi in the top bin.
-    if (!(v >= lo_) || width <= 0) {
-      ++local.counts[0];
-    } else if (v >= hi_) {
-      ++local.counts[bins_ - 1];
-    } else {
-      const auto bin = std::min<std::uint32_t>(
-          bins_ - 1, static_cast<std::uint32_t>((v - lo_) / width));
-      ++local.counts[bin];
-    }
+namespace {
+
+using common::simd::F32x4;
+using common::simd::I32x4;
+
+// Per lane: `mask` (all ones or all zeros, as a comparison yields) ? a : b.
+F32x4 select(I32x4 mask, F32x4 a, F32x4 b) {
+  return reinterpret_cast<F32x4>((mask & reinterpret_cast<I32x4>(a)) |
+                                 (~mask & reinterpret_cast<I32x4>(b)));
+}
+
+// The earliest zero of `values`, which holds one: among equal extrema the
+// earliest value wins, and only zeros compare equal with differing bits.
+double first_zero(std::span<const float> values) {
+  return *std::find(values.begin(), values.end(), 0.0f);
+}
+
+}  // namespace
+
+void HistogramBackend::accumulate(std::span<const float> values, float lo,
+                                  float hi, std::uint32_t bins, Local& local) {
+  const float width = (hi - lo) / static_cast<float>(bins);
+  const float top = static_cast<float>(bins - 1);
+  // All ones unless every value belongs in bin 0.
+  const I32x4 binned = I32x4{} - (width <= 0 ? 0 : 1);
+  const float inf = std::numeric_limits<float>::infinity();
+  // Each lane counts into its own sub-histogram, so runs of one bin do not
+  // serialize on a single counter.
+  std::vector<std::uint64_t> lanes(std::size_t{4} * bins, 0);
+  std::uint64_t* const lane[4] = {lanes.data(), lanes.data() + bins,
+                                  lanes.data() + 2 * std::size_t{bins},
+                                  lanes.data() + 3 * std::size_t{bins}};
+  F32x4 mn = F32x4{} + inf;
+  F32x4 mx = F32x4{} - inf;
+  // The bin of each lane: the sequential rule's float division, with the
+  // quotient clamped into [0, top] before the integer conversion (NaN, only
+  // possible once the range overflows a float, goes to the top).
+  auto bin_of = [&](F32x4 v) {
+    mn = select(v < mn, v, mn);
+    mx = select(mx < v, v, mx);
+    F32x4 q = (v - lo) / width;
+    q = select(q < top, q, F32x4{} + top);
+    q = select(0.0f < q, q, F32x4{});
+    q = select(v >= hi, F32x4{} + top, q);
+    return __builtin_convertvector(q, I32x4) & binned & (v >= lo);
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= values.size(); i += 4) {
+    F32x4 v;
+    std::memcpy(&v, values.data() + i, sizeof(v));
+    const I32x4 bin = bin_of(v);
+    ++lane[0][bin[0]];
+    ++lane[1][bin[1]];
+    ++lane[2][bin[2]];
+    ++lane[3][bin[3]];
   }
-  return Status::Ok();
+  if (i < values.size()) {
+    // NaN padding: it never becomes an extremum and is not counted.
+    F32x4 v = F32x4{} + std::numeric_limits<float>::quiet_NaN();
+    std::memcpy(&v, values.data() + i, (values.size() - i) * sizeof(float));
+    const I32x4 bin = bin_of(v);
+    for (std::size_t l = 0; l < values.size() - i; ++l) ++lane[l][bin[l]];
+  }
+
+  for (std::uint32_t b = 0; b < bins; ++b) {
+    local.counts[b] += lane[0][b] + lane[1][b] + lane[2][b] + lane[3][b];
+  }
+  local.values += values.size();
+  // The extrema replace the carried-in ones only when strictly beyond them
+  // (std::min / std::max keep the first of equals).
+  float lo_seen = mn[0], hi_seen = mx[0];
+  for (std::size_t l = 1; l < 4; ++l) {
+    lo_seen = std::min(lo_seen, mn[l]);
+    hi_seen = std::max(hi_seen, mx[l]);
+  }
+  if (lo_seen < local.min_seen)
+    local.min_seen = lo_seen != 0 ? lo_seen : first_zero(values);
+  if (local.max_seen < hi_seen)
+    local.max_seen = hi_seen != 0 ? hi_seen : first_zero(values);
 }
 
 Status HistogramBackend::execute(std::uint64_t iteration) {
@@ -95,7 +160,11 @@ Status HistogramBackend::execute(std::uint64_t iteration) {
       ctx_.proc->sim(), iteration,
       [&](const StagedBlockStore::Key&, std::span<const std::byte> data) {
         try {
-          return accumulate(vis::deserialize_dataset(data), local);
+          const vis::DataSet ds = vis::deserialize_dataset(data);
+          auto values = field_values(ds);
+          if (!values.has_value()) return values.status();
+          accumulate(*values, lo_, hi_, bins_, local);
+          return Status::Ok();
         } catch (const std::exception& e) {
           return Status::InvalidArgument(
               std::string("histogram: bad dataset: ") + e.what());

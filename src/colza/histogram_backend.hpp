@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,9 @@ class HistogramBackend final : public Backend {
  public:
   explicit HistogramBackend(Context ctx);
 
-  // Validates the block (it must parse and carry the configured field), then
-  // stores it through Backend::stage.
+  // Validates the block (it must parse and carry the configured field as
+  // f32 values), then stores it through Backend::stage. Nothing is binned
+  // here: execute() bins every stored block once.
   Status stage(StagedBlock block) override;
   Status execute(std::uint64_t iteration) override;
 
@@ -49,19 +51,34 @@ class HistogramBackend final : public Backend {
     return results_;
   }
 
+  // One server's accumulation of one iteration. Staged blocks stay raw in
+  // staged_ and are accumulated from scratch at every execute() -- behind a
+  // fresh CRC check per block -- which also makes execute idempotent across
+  // recovery retries.
+  struct Local {
+    std::vector<std::uint64_t> counts;  // `bins` entries
+    std::uint64_t values = 0;
+    double min_seen = 1e300, max_seen = -1e300;
+  };
+  // Bins `values` into `local` with bit-for-bit the result of one sequential
+  // pass in order: value v lands in bin (v - lo) / width (float division,
+  // width = (hi - lo) / bins, clamped to the top bin); below lo, NaN, or any
+  // value when width <= 0 lands in bin 0; at or above hi in the top bin.
+  // min_seen / max_seen follow std::min<double> / std::max<double> applied
+  // value by value, so NaN never wins and, among equal values, the earliest
+  // (this call's earlier values, or the carried-in extremum) does -- which
+  // decides the sign of a zero extremum.
+  static void accumulate(std::span<const float> values, float lo, float hi,
+                         std::uint32_t bins, Local& local);
+
  private:
   std::string field_;
   std::uint32_t bins_ = 32;
   float lo_ = 0.0f, hi_ = 1.0f;
-  // Scratch accumulation state. Staged blocks stay raw in staged_ and are
-  // accumulated from scratch at every execute() -- behind a fresh CRC check
-  // per block -- which also makes execute idempotent across recovery retries.
-  struct Local {
-    std::vector<std::uint64_t> counts;
-    std::uint64_t values = 0;
-    double min_seen = 1e300, max_seen = -1e300;
-  };
-  [[nodiscard]] Status accumulate(const vis::DataSet& ds, Local& local) const;
+  // The configured field's values, a view into `ds`: NotFound when the block
+  // lacks the field; throws when the block's field does not hold f32 values.
+  [[nodiscard]] Expected<std::span<const float>> field_values(
+      const vis::DataSet& ds) const;
   std::vector<Result> results_;
 };
 

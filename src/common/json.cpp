@@ -263,7 +263,9 @@ void dump_value(const Value& v, std::string& out) {
     out += v.as_bool() ? "true" : "false";
   } else if (v.is_number()) {
     const double d = v.as_number();
-    if (d == std::floor(d) && std::abs(d) < 1e15) {
+    if (!std::isfinite(d)) {
+      out += "null";  // JSON has no spelling for inf or nan
+    } else if (d == std::floor(d) && std::abs(d) < 1e15) {
       out += std::to_string(static_cast<std::int64_t>(d));
     } else {
       char buf[32];

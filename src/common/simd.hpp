@@ -14,15 +14,21 @@
 // library would change ulps and break render-hash determinism. That kernel
 // instead does less work exactly: its first step is computed once per
 // block, and an orbit exits as soon as its state repeats bitwise
-// (apps/mandelbulb.cpp). The rasterizer's 4-lane edge test is plain SSE2
-// (the GCC/Clang vector extension on the x86-64 baseline) with the scalar
-// operation tree per lane, so it needs no dispatch and no toggle.
+// (apps/mandelbulb.cpp). The rasterizer's 4-lane edge test and the
+// histogram pipeline's binning kernel are plain SSE2 (the GCC/Clang vector
+// extension on the x86-64 baseline, F32x4 / I32x4 below) with the scalar
+// operation tree per lane, so they need no dispatch and no toggle.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <string_view>
 
 namespace colza::common::simd {
+
+// Four float / int32 lanes (GCC/Clang vector extension; SSE2 on x86-64).
+using F32x4 = float __attribute__((vector_size(16)));
+using I32x4 = std::int32_t __attribute__((vector_size(16)));
 
 enum class Level { scalar, avx2 };
 

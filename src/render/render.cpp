@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/hash.hpp"
+#include "common/simd.hpp"
 
 namespace colza::render {
 
@@ -132,9 +133,8 @@ struct ProjectedVertex {
   bool ok = false;  // in front of the near plane
 };
 
-// Four float / int32 lanes (GCC/Clang vector extension; SSE2 on x86-64).
-using F32x4 = float __attribute__((vector_size(16)));
-using I32x4 = std::int32_t __attribute__((vector_size(16)));
+using common::simd::F32x4;
+using common::simd::I32x4;
 constexpr I32x4 kLaneOffsets{0, 1, 2, 3};
 
 struct CameraBasis {

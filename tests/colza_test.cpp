@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -517,9 +519,22 @@ TEST(Histogram, OutOfRangeAndNonFiniteValuesClampToEdgeBins) {
     ASSERT_TRUE(h->stage(1, 0, vis::DataSet{g}).ok());
     ASSERT_TRUE(h->execute(1).ok());
     ASSERT_TRUE(h->deactivate(1).ok());
+    // The stats JSON carries the infinite extrema as null.
+    Admin admin(w.client->engine());
+    for (net::ProcId server : h->view()) {
+      auto stats = admin.get_stats(server, "hist");
+      ASSERT_TRUE(stats.has_value()) << stats.status().to_string();
+      const auto& rec = stats->find("iterations")->as_array()[0];
+      EXPECT_DOUBLE_EQ(rec.number_or("values", 0), 7.0);
+      EXPECT_TRUE(rec.find("min")->is_null());
+      EXPECT_TRUE(rec.find("max")->is_null());
+      const auto& counts = rec.find("counts")->as_array();
+      ASSERT_EQ(counts.size(), 4u);
+      EXPECT_DOUBLE_EQ(counts[0].as_number(), 3.0);
+      EXPECT_DOUBLE_EQ(counts[3].as_number(), 4.0);
+    }
   });
   w.sim.run();
-  // Read from the backends: the stats JSON cannot carry the infinite max.
   for (auto& s : w.area->servers()) {
     auto* hist = dynamic_cast<HistogramBackend*>(s->pipeline("hist"));
     ASSERT_NE(hist, nullptr);
@@ -528,6 +543,149 @@ TEST(Histogram, OutOfRangeAndNonFiniteValuesClampToEdgeBins) {
     EXPECT_EQ(r.total_values, 7u);
     // {lo, -inf, NaN} | - | - | {hi, 2*hi, 1e30, +inf}
     EXPECT_EQ(r.counts, (std::vector<std::uint64_t>{3, 0, 0, 4}));
+    EXPECT_EQ(r.min_seen, -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(r.max_seen, std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(Histogram, NonFloatFieldFailsStage) {
+  ColzaWorld w(2);
+  w.create_everywhere("hist", "histogram", R"({"field":"v"})");
+  w.client_proc->spawn("app", [&] {
+    auto h = DistributedPipelineHandle::lookup(
+        *w.client, w.area->bootstrap().contacts(), "hist");
+    ASSERT_TRUE(h.has_value());
+    ASSERT_TRUE(h->activate(1).ok());
+    vis::UniformGrid g;
+    g.dims = {4, 1, 1};
+    g.point_data.add(
+        vis::DataArray::make<double>("v", std::vector<double>(4, 0.5)));
+    EXPECT_EQ(h->stage(1, 0, vis::DataSet{g}).code(),
+              StatusCode::invalid_argument);
+    ASSERT_TRUE(h->deactivate(1).ok());
+  });
+  w.sim.run();
+}
+
+// The sequential binning loop that HistogramBackend::accumulate replaced,
+// verbatim apart from its signature: the bitwise reference for the 4-lane
+// kernel.
+void reference_accumulate(std::span<const float> values, float lo_, float hi_,
+                          std::uint32_t bins_, HistogramBackend::Local& local) {
+  const float width = (hi_ - lo_) / static_cast<float>(bins_);
+  for (float v : values) {
+    local.min_seen = std::min<double>(local.min_seen, v);
+    local.max_seen = std::max<double>(local.max_seen, v);
+    ++local.values;
+    // Range tests stay in float so the integer cast only ever sees a value
+    // in [0, bins_]: below range (and NaN, which fails every comparison)
+    // counts in bin 0, at or above range_hi in the top bin.
+    if (!(v >= lo_) || width <= 0) {
+      ++local.counts[0];
+    } else if (v >= hi_) {
+      ++local.counts[bins_ - 1];
+    } else {
+      const auto bin = std::min<std::uint32_t>(
+          bins_ - 1, static_cast<std::uint32_t>((v - lo_) / width));
+      ++local.counts[bin];
+    }
+  }
+}
+
+// Runs `blocks` through both kernels into one carried accumulation each and
+// compares counts, value count and both extrema bitwise after every block.
+void expect_kernel_matches_reference(
+    const std::vector<std::vector<float>>& blocks, float lo, float hi,
+    std::uint32_t bins, const std::string& what) {
+  HistogramBackend::Local got, want;
+  got.counts.assign(bins, 0);
+  want.counts.assign(bins, 0);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    HistogramBackend::accumulate(blocks[b], lo, hi, bins, got);
+    reference_accumulate(blocks[b], lo, hi, bins, want);
+    const std::string where = what + " block " + std::to_string(b) +
+                              " length " + std::to_string(blocks[b].size());
+    ASSERT_EQ(std::memcmp(got.counts.data(), want.counts.data(),
+                          bins * sizeof(std::uint64_t)),
+              0)
+        << where;
+    EXPECT_EQ(got.values, want.values) << where;
+    EXPECT_EQ(std::memcmp(&got.min_seen, &want.min_seen, sizeof(double)), 0)
+        << where << ": min " << got.min_seen << " vs " << want.min_seen;
+    EXPECT_EQ(std::memcmp(&got.max_seen, &want.max_seen, sizeof(double)), 0)
+        << where << ": max " << got.max_seen << " vs " << want.max_seen;
+  }
+}
+
+TEST(Histogram, VectorKernelMatchesSequentialLoopBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  struct Range {
+    float lo, hi;
+  };
+  const Range ranges[] = {{0.0f, 1.0f},    {-2.0f, 3.0f}, {1.0f, 0.0f},
+                          {0.5f, 0.5f},    {-0.0f, 0.0f}, {0.0f, 1e-38f},
+                          {-1e30f, 1e30f}};
+  Rng rng(59);
+  for (const Range& r : ranges) {
+    for (std::uint32_t bins : {1u, 7u, 32u, 65536u}) {
+      const float specials[] = {std::nanf(""),
+                                -std::nanf(""),
+                                inf,
+                                -inf,
+                                0.0f,
+                                -0.0f,
+                                denorm,
+                                -denorm,
+                                std::numeric_limits<float>::min() / 2,
+                                r.lo,
+                                r.hi,
+                                std::nextafter(r.hi, 0.0f),
+                                std::nextafter(r.lo, -inf)};
+      auto draw = [&] {
+        if (rng.below(3) == 0) return specials[rng.below(std::size(specials))];
+        // Mostly in range, some on either side of it.
+        const double span = static_cast<double>(r.hi) - r.lo;
+        return static_cast<float>(r.lo + (rng.uniform() * 1.4 - 0.2) * span);
+      };
+      std::vector<std::vector<float>> blocks;
+      for (std::size_t n = 0; n <= 9; ++n) {
+        for (int rep = 0; rep < 4; ++rep) {
+          std::vector<float> block(n);
+          for (float& v : block) v = draw();
+          blocks.push_back(std::move(block));
+        }
+      }
+      for (std::size_t n : {64u, 1001u}) {
+        std::vector<float> block(n);
+        for (float& v : block) v = draw();
+        blocks.push_back(std::move(block));
+      }
+      expect_kernel_matches_reference(
+          blocks, r.lo, r.hi, bins,
+          "range [" + std::to_string(r.lo) + ", " + std::to_string(r.hi) +
+              ") bins " + std::to_string(bins));
+    }
+  }
+}
+
+// Which zero wins an extremum: the first one in order, across blocks too,
+// whichever lane the kernel saw it in.
+TEST(Histogram, VectorKernelKeepsTheFirstZeroExtremum) {
+  const std::vector<std::vector<std::vector<float>>> cases = {
+      {{0.0f, 0.0f, 0.0f}, {-0.0f, -0.0f, -0.0f, -0.0f, -0.0f}},
+      {{-0.0f, -0.0f}, {0.0f, 0.0f, 0.0f, 0.0f, 0.0f}},
+      {{5.0f, 5.0f, 5.0f, -0.0f, 0.0f, 7.0f}},
+      {{5.0f, 0.0f, 5.0f, 5.0f, -0.0f}},
+      {{-1.0f, -0.0f, -1.0f, -1.0f, 0.0f, -2.0f, -0.0f}},
+      {{std::nanf(""), 0.0f, std::nanf(""), std::nanf(""), -0.0f}},
+      {{}, {-0.0f}, {}, {0.0f}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (std::uint32_t bins : {1u, 32u}) {
+      expect_kernel_matches_reference(cases[c], 0.0f, 1.0f, bins,
+                                      "case " + std::to_string(c));
+    }
   }
 }
 

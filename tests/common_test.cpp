@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -220,6 +221,21 @@ TEST(Json, DumpRoundTrips) {
   EXPECT_EQ(v2.dump(), v.dump());
 }
 
+TEST(Json, NonFiniteNumbersDumpAsNullAndParseBack) {
+  json::Object o;
+  o.emplace("inf", std::numeric_limits<double>::infinity());
+  o.emplace("ninf", -std::numeric_limits<double>::infinity());
+  o.emplace("nan", std::numeric_limits<double>::quiet_NaN());
+  o.emplace("x", 0.5);
+  const std::string text = json::Value(o).dump();
+  EXPECT_EQ(text, R"({"inf":null,"nan":null,"ninf":null,"x":0.5})");
+  const auto back = json::parse(text);
+  EXPECT_TRUE(back.find("inf")->is_null());
+  EXPECT_TRUE(back.find("ninf")->is_null());
+  EXPECT_TRUE(back.find("nan")->is_null());
+  EXPECT_DOUBLE_EQ(back.number_or("x", 0), 0.5);
+}
+
 TEST(Json, MalformedThrows) {
   EXPECT_THROW(json::parse("{"), std::runtime_error);
   EXPECT_THROW(json::parse("[1,]"), std::runtime_error);
@@ -434,27 +450,72 @@ TEST(Crc32c, DetectsEverySingleBitFlip) {
 // The dispatch contract: whatever path crc32c() picks (COLZA_SIMD governs
 // it, scripts/check.sh cross-checks both settings), its result is
 // bit-identical to the scalar table fallback -- including every length mod
-// 8 (the hardware path switches from 64-bit to byte steps there) and
-// nonzero seeds.
+// 8 (the hardware path switches from 64-bit to byte steps there), the
+// lengths around the hardware path's three-stripe rounds, unaligned starts
+// and nonzero seeds.
 TEST(Crc32c, ActivePathMatchesScalarBitForBit) {
+  constexpr std::size_t kRound = 3 * common::detail::kCrc32cStripe;
   Rng rng(41);
-  for (int round = 0; round < 64; ++round) {
-    const std::size_t n = static_cast<std::size_t>(rng.below(1024));
-    std::vector<std::byte> data(n);
-    for (auto& b : data) b = static_cast<std::byte>(rng.below(256));
-    const auto seed =
-        round % 2 != 0 ? static_cast<std::uint32_t>(rng.below(0x100000000ull))
-                       : 0u;
-    const std::uint32_t scalar =
-        ~common::detail::crc32c_scalar(data.data(), data.size(), ~seed);
-    EXPECT_EQ(common::crc32c(data, seed), scalar) << "len " << n;
+  std::vector<std::size_t> lengths;
+  for (int i = 0; i < 64; ++i)
+    lengths.push_back(static_cast<std::size_t>(rng.below(1024)));
+  for (std::size_t n : {kRound - 1, kRound, kRound + 1, 2 * kRound + 7,
+                        (std::size_t{1} << 20) + 13}) {
+    lengths.push_back(n);
+  }
+  std::vector<std::byte> buffer(lengths.back() + 8);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng.below(256));
+  for (std::size_t round = 0; round < lengths.size(); ++round) {
+    const std::size_t n = lengths[round];
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::span<const std::byte> data(buffer.data() + offset, n);
+      const auto seed = (round + offset) % 2 != 0
+                            ? static_cast<std::uint32_t>(
+                                  rng.below(0x100000000ull))
+                            : 0u;
+      const std::uint32_t scalar =
+          ~common::detail::crc32c_scalar(data.data(), data.size(), ~seed);
+      EXPECT_EQ(common::crc32c(data, seed), scalar)
+          << "len " << n << " offset " << offset;
 #if defined(__x86_64__)
-    if (common::detail::crc32c_hw_usable()) {
-      EXPECT_EQ(~common::detail::crc32c_hw(data.data(), data.size(), ~seed),
-                scalar)
-          << "len " << n;
-    }
+      if (common::detail::crc32c_hw_usable()) {
+        EXPECT_EQ(~common::detail::crc32c_hw(data.data(), data.size(), ~seed),
+                  scalar)
+            << "len " << n << " offset " << offset;
+      }
 #endif
+    }
+  }
+}
+
+// Composition across the hardware path's stripe boundaries: a split inside
+// a stripe leaves the head ending mid-stripe and the tail starting there.
+TEST(Crc32c, SeedComposesAcrossStripes) {
+  constexpr std::size_t kStripe = common::detail::kCrc32cStripe;
+  Rng rng(43);
+  std::vector<std::byte> whole(7 * kStripe + 5);
+  for (auto& b : whole) b = static_cast<std::byte>(rng.below(256));
+  const std::uint32_t expect = ~common::detail::crc32c_scalar(
+      whole.data(), whole.size(), ~std::uint32_t{0});
+  for (std::size_t split : {kStripe / 2 + 3, 3 * kStripe + 1000,
+                            4 * kStripe + 11}) {
+    const std::span<const std::byte> head(whole.data(), split);
+    const std::span<const std::byte> tail(whole.data() + split,
+                                          whole.size() - split);
+    EXPECT_EQ(common::crc32c(tail, common::crc32c(head)), expect)
+        << "split at " << split;
+  }
+  EXPECT_EQ(common::crc32c(whole), expect);
+}
+
+// The stripe-join table is the register advanced over one stripe of zeros.
+TEST(Crc32c, StripeShiftMatchesZeroBytes) {
+  const std::vector<std::byte> zeros(common::detail::kCrc32cStripe);
+  Rng rng(47);
+  for (int i = 0; i < 16; ++i) {
+    const auto crc = static_cast<std::uint32_t>(rng.below(0x100000000ull));
+    EXPECT_EQ(common::detail::crc32c_stripe_shift(crc),
+              common::detail::crc32c_scalar(zeros.data(), zeros.size(), crc));
   }
 }
 
