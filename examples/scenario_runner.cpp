@@ -52,7 +52,6 @@ struct Scenario {
   std::string app;
   json::Value app_options;
   std::vector<std::pair<std::uint64_t, int>> elastic;  // iteration -> +N
-  std::string trace_path;
 };
 
 Scenario parse_scenario(const json::Value& v) {
@@ -80,7 +79,7 @@ Scenario parse_scenario(const json::Value& v) {
           static_cast<int>(step.number_or("add_servers", 1)));
     }
   }
-  s.trace_path = v.string_or("trace", "");
+  s.harness.trace_path = v.string_or("trace", "");
   return s;
 }
 
@@ -181,8 +180,6 @@ int main(int argc, char** argv) {
 
   Scenario scenario = parse_scenario(json::parse(text));
   ColzaPipelineHarness harness(scenario.harness);
-  if (!scenario.trace_path.empty())
-    harness.sim().start_trace(scenario.trace_path);
 
   std::vector<std::unique_ptr<apps::GrayScott3D>> solvers;
   DataGen gen = make_generator(scenario, harness, solvers);
@@ -209,10 +206,9 @@ int main(int argc, char** argv) {
                 des::to_millis(t.activate), des::to_millis(t.stage),
                 des::to_millis(t.execute), des::to_millis(t.deactivate));
   }
-  if (!scenario.trace_path.empty()) {
-    harness.sim().stop_trace();
+  if (!scenario.harness.trace_path.empty()) {
     std::printf("\ntrace written to %s (open in chrome://tracing)\n",
-                scenario.trace_path.c_str());
+                scenario.harness.trace_path.c_str());
   }
   return 0;
 }

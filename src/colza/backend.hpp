@@ -131,9 +131,9 @@ class Backend {
   virtual Status execute(std::uint64_t iteration) = 0;
   virtual Status deactivate(std::uint64_t iteration);
 
-  // Called by the provider whenever the (frozen) staging-area view changed:
-  // `comm` spans the servers of the newly committed view, in sorted address
-  // order. Pipelines use it for their parallel operations.
+  // Called by the provider at each 2PC commit of this pipeline: `comm` spans
+  // the servers of the newly frozen view, in sorted address order, in a
+  // fresh context of its own. Pipelines use it for their parallel operations.
   virtual void update_comm(std::shared_ptr<mona::Communicator> comm) {
     comm_ = std::move(comm);
   }

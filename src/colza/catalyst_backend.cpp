@@ -76,9 +76,7 @@ Status CatalystBackend::execute(std::uint64_t iteration) {
   }
 
   vis::MonaCommunicator comm(comm_);
-  vis::Communicator::set_global(&comm);  // the SetGlobalController trick
   auto r = catalyst::execute(script_, parsed, comm, fb_, iteration);
-  vis::Communicator::set_global(nullptr);
   if (!r.has_value()) return r.status();
 
   Record rec;

@@ -144,8 +144,6 @@ Status DistributedPipelineHandle::activate_impl(std::uint64_t iteration,
 
     // Phase 1: prepare. Servers vote by comparing view hashes.
     bool mismatch = false;
-    std::vector<net::ProcId> fresh_view;
-    std::uint64_t fresh_hash = 0;
     Status s = parallel_over(view_, [&](net::ProcId server) {
       auto r = engine.call_raw(server, "colza.prepare",
                                pack(name_, iteration, view_hash_));
@@ -181,8 +179,6 @@ Status DistributedPipelineHandle::activate_impl(std::uint64_t iteration,
       });
       Status rs = refresh_view();
       if (!rs.ok()) return rs;
-      (void)fresh_view;
-      (void)fresh_hash;
       // Small backoff: let the gossip converge (S II-E measures ~1 s of
       // overhead when the group changed).
       client_->process().sim().sleep_for(des::milliseconds(200));

@@ -216,8 +216,8 @@ class DistributedPipelineHandle {
   std::vector<net::ProcId> view_;
   std::uint64_t view_hash_ = 0;
   // Activation epoch: bumped for every commit attempt and shipped with the
-  // commit RPC; servers derive the iteration's communicator context from it
-  // (see Server::commit_view(epoch)).
+  // commit RPC; servers key the pipeline's communicator context by
+  // (pipeline, epoch), so each attempt collects in a fresh tag space.
   std::uint64_t epoch_ = 0;
   DistributionPolicy policy_;
   std::size_t replication_ = 2;

@@ -106,7 +106,6 @@ void StagingArea::kill_all() {
   for (auto& s : servers_) {
     if (s->alive()) s->process().kill();
   }
-  servers_.clear();
   bootstrap_.publish({});
 }
 

@@ -106,7 +106,10 @@ class StagingArea {
     return Admin(admin_engine).request_leave(server);
   }
 
-  // Kills every daemon outright (the "static" strategy's teardown).
+  // Kills every daemon outright (the "static" strategy's teardown). The dead
+  // Server objects stay owned by the area, like every other departed
+  // daemon's: their parked fibers (e.g. the scrubber) may still wake and
+  // must find a live object that reports itself dead.
   void kill_all();
 
  private:

@@ -6,6 +6,7 @@
 #include "colza/placement.hpp"
 #include "colza/supervisor.hpp"
 #include "common/checksum.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -77,7 +78,6 @@ Server::Server(net::Process& proc, ServerConfig config,
   group_ = std::make_unique<ssg::Group>(*engine_, config_.swim,
                                         std::move(initial_group), bootstrap_);
   install_handlers();
-  commit_view();
 }
 
 Expected<std::unique_ptr<Server>> Server::join(net::Process& proc,
@@ -92,7 +92,6 @@ Expected<std::unique_ptr<Server>> Server::join(net::Process& proc,
   if (!g.has_value()) return g.status();
   server->group_ = std::move(*g);
   server->install_handlers();
-  server->commit_view();
   return server;
 }
 
@@ -119,7 +118,6 @@ Status Server::create_pipeline(const std::string& name,
   auto backend = BackendRegistry::create(type, std::move(ctx));
   if (!backend.has_value()) return backend.status();
   std::shared_ptr<Backend> shared = std::move(backend.value());
-  shared->update_comm(service_comm_);
   // The viewer tier snapshots this pipeline's framebuffer for fan-out. The
   // producer runs on the tier's render fiber right after publish; pipelines
   // that render nothing yield an empty image and viewers see no frames.
@@ -134,7 +132,9 @@ Status Server::create_pipeline(const std::string& name,
         return fb != nullptr ? viewer::FrameImage::from(*fb)
                              : viewer::FrameImage{};
       });
-  pipelines_.emplace(name, PipelineEntry{type, std::move(shared)});
+  PipelineEntry& e = pipelines_[name];
+  e.type = type;
+  e.backend = std::move(shared);
   // Loading a pipeline's shared library and constructing it is not free.
   if (proc_->sim().in_fiber()) proc_->sim().charge(des::milliseconds(150));
   return Status::Ok();
@@ -148,41 +148,34 @@ Status Server::destroy_pipeline(const std::string& name) {
   return Status::Ok();
 }
 
-Backend* Server::pipeline(const std::string& name) {
+Server::PipelineEntry* Server::entry(const std::string& name) {
   auto it = pipelines_.find(name);
-  return it == pipelines_.end() ? nullptr : it->second.backend.get();
+  return it == pipelines_.end() ? nullptr : &it->second;
+}
+
+Backend* Server::pipeline(const std::string& name) {
+  PipelineEntry* e = entry(name);
+  return e == nullptr ? nullptr : e->backend.get();
 }
 
 // ---------------------------------------------------------------- replicas
 
 std::size_t Server::replica_count(const std::string& pipeline,
                                   std::uint64_t iteration) const {
-  auto pit = replicas_.find(pipeline);
-  if (pit == replicas_.end()) return 0;
-  const StagedBlockStore::Slot* slot = pit->second.slot(iteration);
+  auto it = pipelines_.find(pipeline);
+  if (it == pipelines_.end()) return 0;
+  const StagedBlockStore::Slot* slot = it->second.replicas.slot(iteration);
   return slot == nullptr ? 0 : slot->size();
 }
 
-StagedBlockStore::Block* Server::find_replica(const std::string& pipeline,
-                                              std::uint64_t iteration,
-                                              std::uint64_t block_id,
-                                              const std::string& field) {
-  auto pit = replicas_.find(pipeline);
-  return pit == replicas_.end() ? nullptr
-                                : pit->second.find(iteration, block_id, field);
-}
-
-void Server::promote_replicas(const std::string& name, Backend* backend,
-                              std::uint64_t iteration) {
-  auto pit = replicas_.find(name);
-  if (pit == replicas_.end()) return;
-  const StagedBlockStore::Slot* slot = pit->second.slot(iteration);
+void Server::promote_replicas(PipelineEntry& e, std::uint64_t iteration) {
+  const StagedBlockStore::Slot* slot = e.replicas.slot(iteration);
   if (slot == nullptr) return;
   for (const auto& [key, rb] : *slot) {
     // Promote only when this server is the first recorded copyset member
     // still present in the frozen recovery view: every view member computes
     // the same answer, so exactly one copy of each block reaches a backend.
-    if (placement::promoter(rb.copyset, service_view_) != proc_->id()) {
+    if (placement::promoter(rb.copyset, e.view) != proc_->id()) {
       continue;
     }
     StagedBlock block;
@@ -193,7 +186,7 @@ void Server::promote_replicas(const std::string& name, Backend* backend,
     block.data = rb.data;  // keep the replica: later crashes may need it
     block.checksum = rb.checksum;
     block.copyset = rb.copyset;
-    Status s = backend->stage(std::move(block));
+    Status s = e.backend->stage(std::move(block));
     if (!s.ok()) {
       COLZA_LOG_WARN("colza", "replica promotion of block %llu failed: %s",
                      static_cast<unsigned long long>(key.first),
@@ -308,34 +301,41 @@ void Server::scrub_pass() {
   // Snapshot the worklists first: repairs block on nested RPCs, and commit /
   // deactivate may mutate the maps while this fiber is parked.
   std::vector<std::pair<std::string, std::uint64_t>> slots;
-  for (const auto& [name, entry] : pipelines_) {
-    for (std::uint64_t iteration : active_set_) {
+  for (const auto& [name, e] : pipelines_) {
+    for (std::uint64_t iteration : e.active) {
       slots.emplace_back(name, iteration);
     }
   }
   for (const auto& [name, iteration] : slots) {
     if (left_ || !proc_->alive()) return;
-    Backend* p = pipeline(name);
-    if (p == nullptr || active_set_.count(iteration) == 0) continue;
+    PipelineEntry* e = entry(name);
+    if (e == nullptr || e->active.count(iteration) == 0) continue;
     // An unrepairable block is NOT an error here: the execute path reports
     // it to the client (which re-stages); the scrubber's job is only to fix
     // what is fixable before anyone reads it.
-    (void)verify_and_repair(name, p, iteration);
+    (void)verify_and_repair(name, e->backend.get(), iteration);
   }
-  // The buddy-replica store: same verify/repair cycle, repaired in place so
+  // The buddy-replica stores: same verify/repair cycle, repaired in place so
   // a later promotion hands the backend intact bytes.
   std::vector<std::tuple<std::string, std::uint64_t, StagedBlockStore::Key>>
       rkeys;
-  for (auto& [name, store] : replicas_) {
-    store.for_each([&](std::uint64_t iteration,
-                       const StagedBlockStore::Key& key,
-                       const StagedBlockStore::Block&) {
+  for (auto& [name, e] : pipelines_) {
+    e.replicas.for_each([&](std::uint64_t iteration,
+                            const StagedBlockStore::Key& key,
+                            const StagedBlockStore::Block&) {
       rkeys.emplace_back(name, iteration, key);
     });
   }
   for (const auto& [name, iteration, key] : rkeys) {
     if (left_ || !proc_->alive()) return;
-    const auto* rb = find_replica(name, iteration, key.first, key.second);
+    // Looked up afresh each time: the pipeline may be destroyed or the
+    // iteration deactivated while this fiber is parked.
+    auto live_replica = [&]() -> StagedBlockStore::Block* {
+      PipelineEntry* e = entry(name);
+      return e == nullptr ? nullptr
+                          : e->replicas.find(iteration, key.first, key.second);
+    };
+    const auto* rb = live_replica();
     if (rb == nullptr) continue;  // deactivated while we were scrubbing
     ++integrity_.verifies;
     metrics.counter("integrity.verify").inc();
@@ -347,7 +347,7 @@ void Server::scrub_pass() {
     fetch_intact_copy(
         name, iteration, key.first, key.second, copyset, rb->checksum,
         [&](net::ProcId, std::vector<std::byte> data) {
-          auto* live = find_replica(name, iteration, key.first, key.second);
+          auto* live = live_replica();
           if (live != nullptr) {  // else deactivated meanwhile: stop anyway
             note_repair(data.size());
             live->data = std::move(data);
@@ -367,18 +367,18 @@ common::integrity::CorruptResult Server::corrupt_storage(
   // its own sorted order. Identical state across replayed runs therefore
   // yields the identical victim for a given pick.
   std::vector<std::vector<std::byte>*> candidates;
-  for (auto& [name, entry] : pipelines_) {
-    for (std::uint64_t iteration : active_set_) {
-      for (const auto& info : entry.backend->integrity_scan(iteration)) {
-        auto* data = entry.backend->stored_payload(iteration, info.block_id,
-                                                   info.field_name);
+  for (auto& [name, e] : pipelines_) {
+    for (std::uint64_t iteration : e.active) {
+      for (const auto& info : e.backend->integrity_scan(iteration)) {
+        auto* data = e.backend->stored_payload(iteration, info.block_id,
+                                               info.field_name);
         if (data != nullptr && !data->empty()) candidates.push_back(data);
       }
     }
   }
-  for (auto& [name, store] : replicas_) {
-    store.for_each([&](std::uint64_t, const StagedBlockStore::Key&,
-                       StagedBlockStore::Block& rb) {
+  for (auto& [name, e] : pipelines_) {
+    e.replicas.for_each([&](std::uint64_t, const StagedBlockStore::Key&,
+                            StagedBlockStore::Block& rb) {
       if (!rb.data.empty()) candidates.push_back(&rb.data);
     });
   }
@@ -405,46 +405,11 @@ void Server::apply_pending_corrupt(std::vector<std::byte>& data) {
   mangle_payload(data, mode, pick);
 }
 
-// ---------------------------------------------------------------- view
-
-void Server::commit_view() {
-  const std::uint64_t hash = group_->view_hash();
-  if (hash == service_view_hash_ && service_comm_ != nullptr) return;
-  service_view_ = group_->view();  // sorted
-  service_view_hash_ = hash;
-  service_comm_ = mona_->comm_create(service_view_);
-  for (auto& [name, entry] : pipelines_) {
-    entry.backend->update_comm(service_comm_);
-  }
-}
-
-void Server::commit_view(std::uint64_t epoch) {
-  // Always rebuild, even when the view hash is unchanged: every member of
-  // the frozen view runs this commit with the same epoch, so everyone gets
-  // a matching fresh context with collective sequence numbers reset to
-  // zero. Reusing the previous communicator would let a peer still blocked
-  // in an abandoned attempt's collective consume (or feed) this attempt's
-  // messages -- the tag streams would be permanently misaligned.
-  //
-  // The superseded context is revoked outright (ULFM-style, like the
-  // member-failure path): a commit declares every earlier attempt
-  // abandoned, and a peer may still be parked in one of its collectives --
-  // e.g. waiting on a member that refused to enter the reduction because a
-  // staged block failed its CRC. Revoking wakes those fibers with Aborted
-  // so they unwind (releasing the buffers parked on their stacks) instead
-  // of blocking on the dead tag space forever.
-  if (service_comm_ != nullptr) service_comm_->revoke();
-  service_view_ = group_->view();  // sorted
-  service_view_hash_ = group_->view_hash();
-  service_comm_ = mona_->comm_create(service_view_, epoch);
-  for (auto& [name, entry] : pipelines_) {
-    entry.backend->update_comm(service_comm_);
-  }
-}
+// ---------------------------------------------------------------- leave
 
 void Server::leave() {
   if (left_) return;
-  if (!active_set_.empty()) {
+  if (active_iterations() != 0) {
     // Frozen: the paper defers removals until deactivate (S II-B).
     leave_pending_ = true;
     return;
@@ -462,7 +427,7 @@ void Server::finish_leave() {
         // "state-full pipelines, for which shutting down a process requires
         // data migration").
         net::ProcId successor = net::kInvalidProc;
-        for (net::ProcId p : service_view_) {
+        for (net::ProcId p : group_->view()) {
           if (p != proc_->id()) {
             successor = p;
             break;
@@ -495,18 +460,19 @@ void Server::finish_leave() {
 void Server::install_handlers() {
   // ---- fault tolerance ----------------------------------------------------
   // When SSG reports a member failure, unblock any pipeline operation that
-  // waits on the failed peer, and -- if an iteration is active on the frozen
-  // view containing it -- revoke the service communicator (ULFM-style, the
-  // extension path the paper's S V points to). Pipelines then fail their
-  // execute() cleanly, and the client re-runs the iteration on the
+  // waits on the failed peer, and revoke the communicator of every pipeline
+  // with an active iteration on a frozen view containing it (ULFM-style, the
+  // extension path the paper's S V points to). Those pipelines then fail
+  // their execute() cleanly, and the client re-runs the iteration on the
   // surviving view.
-  group_->on_change([this](net::ProcId p, ssg::MemberEvent e) {
-    if (e == ssg::MemberEvent::joined) return;
+  group_->on_change([this](net::ProcId p, ssg::MemberEvent event) {
+    if (event == ssg::MemberEvent::joined) return;
     mona_->fail_pending(p);
-    if (!active_set_.empty() && service_comm_ != nullptr &&
-        std::find(service_view_.begin(), service_view_.end(), p) !=
-            service_view_.end()) {
-      service_comm_->revoke();
+    for (auto& [name, e] : pipelines_) {
+      if (!e.active.empty() && e.comm != nullptr &&
+          std::find(e.view.begin(), e.view.end(), p) != e.view.end()) {
+        e.comm->revoke();
+      }
     }
   });
 
@@ -539,16 +505,15 @@ void Server::install_handlers() {
     in.load(pipeline);
     in.load(iteration);
     in.load(client_hash);
-    if (pipelines_.count(pipeline) == 0)
-      return Status::NotFound("pipeline '" + pipeline + "'");
+    PipelineEntry* e = entry(pipeline);
+    if (e == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
     if (client_hash != group_->view_hash()) {
       // Vote no; ship our view so the client can refresh in one round trip.
       out.save(group_->view());
       out.save(group_->view_hash());
       return Status::Aborted("view mismatch");
     }
-    prepared_ = true;
-    prepared_iteration_ = iteration;
+    e->prepared = iteration;
     return Status::Ok();
   });
 
@@ -562,25 +527,44 @@ void Server::install_handlers() {
     in.load(iteration);
     in.load(epoch);
     in.load(recover);
-    if (!prepared_ || prepared_iteration_ != iteration)
+    PipelineEntry* e = entry(pipeline);
+    if (e == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
+    if (e->prepared != iteration)
       return Status::FailedPrecondition("commit without prepare");
     // Epoch fence: within a handle, retries of an iteration carry strictly
     // increasing epochs, so a commit at or below the last committed epoch
     // for this iteration is a stale retransmission. Rebuilding the
     // communicator for it would reset this member's collective sequence
     // numbers while its peers keep counting -- a permanent wedge.
-    auto [fence, inserted] = committed_epoch_.try_emplace(iteration, epoch);
+    auto [fence, inserted] = e->committed_epoch.try_emplace(iteration, epoch);
     if (!inserted) {
       if (epoch <= fence->second)
         return Status::FailedPrecondition("stale commit epoch");
       fence->second = epoch;
     }
-    prepared_ = false;
-    Backend* p = this->pipeline(pipeline);
-    if (p == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
-    const bool resumed = active_set_.count(iteration) != 0;
-    active_set_.insert(iteration);  // freeze membership application
-    commit_view(epoch);  // adopt the agreed view in a fresh tag space
+    e->prepared.reset();
+    const bool resumed = e->active.count(iteration) != 0;
+    e->active.insert(iteration);  // freeze membership application
+    // Freeze the agreed view in a fresh tag space. Always rebuild, even when
+    // the view is unchanged: every member of the frozen view runs this
+    // commit with the same (pipeline, epoch) key, so everyone gets a
+    // matching fresh context with collective sequence numbers reset to zero.
+    // Reusing the previous communicator would let a peer still blocked in an
+    // abandoned attempt's collective consume (or feed) this attempt's
+    // messages -- the tag streams would be permanently misaligned.
+    //
+    // The superseded context is revoked outright (ULFM-style, like the
+    // member-failure path): a commit declares every earlier attempt of this
+    // pipeline abandoned, and a peer may still be parked in one of its
+    // collectives -- e.g. waiting on a member that refused to enter the
+    // reduction because a staged block failed its CRC. Revoking wakes those
+    // fibers with Aborted so they unwind instead of blocking on the dead tag
+    // space forever. Other pipelines' communicators are left alone.
+    if (e->comm != nullptr) e->comm->revoke();
+    e->view = group_->view();  // sorted
+    e->comm = mona_->comm_create(
+        e->view, common::fnv1a_word(common::fnv1a_str(pipeline), epoch));
+    e->backend->update_comm(e->comm);
     if (recover != 0 && resumed) {
       // Recovery commit (reactivate): this survivor keeps its staged blocks
       // and buddy replicas; only the view/communicator changed. Re-running
@@ -590,14 +574,16 @@ void Server::install_handlers() {
     // Fresh activation: replicas of a previous incarnation of this
     // iteration are stale (the client re-stages everything), and so are
     // their flow-control charges.
-    replicas_[pipeline].open(iteration);
+    e->replicas.open(iteration);
     flow_->free_iteration(pipeline, iteration);
-    return p->activate(iteration);
+    return e->backend->activate(iteration);
   });
 
-  engine_->define("colza.abort", [this](const rpc::RequestInfo&, InArchive&,
-                                        OutArchive&) {
-    prepared_ = false;
+  engine_->define("colza.abort", [this](const rpc::RequestInfo&,
+                                        InArchive& in, OutArchive&) {
+    std::string pipeline;
+    in.load(pipeline);
+    if (PipelineEntry* e = entry(pipeline); e != nullptr) e->prepared.reset();
     return Status::Ok();
   });
 
@@ -606,8 +592,8 @@ void Server::install_handlers() {
     if (left_) return Status::ShuttingDown();
     StageMetadata meta;
     in.load(meta);
-    Backend* p = this->pipeline(meta.pipeline);
-    if (p == nullptr)
+    PipelineEntry* e = entry(meta.pipeline);
+    if (e == nullptr)
       return Status::NotFound("pipeline '" + meta.pipeline + "'");
     // Admission before the RDMA pull: over-budget stages are shed (Busy)
     // before any bytes move. Consuming spends the grant lease; if the pull
@@ -636,7 +622,7 @@ void Server::install_handlers() {
                                  " failed checksum after RDMA pull",
                              meta.block_id + 1);
     };
-    if (meta.replica_rank > 0 && active_set_.count(meta.iteration) == 0) {
+    if (meta.replica_rank > 0 && e->active.count(meta.iteration) == 0) {
       uncharge_on_failure();
       return Status::FailedPrecondition("replica stage: iteration " +
                                         std::to_string(meta.iteration) +
@@ -653,6 +639,10 @@ void Server::install_handlers() {
     block.data.resize(meta.data.size);
     Status s = engine_->rdma_pull(meta.data, 0, block.data);
     if (s.ok()) s = verify_pull(block.data);
+    // Looked up again: destroy_pipeline may have run during the pull.
+    e = entry(meta.pipeline);
+    if (s.ok() && e == nullptr)
+      s = Status::NotFound("pipeline '" + meta.pipeline + "'");
     if (!s.ok()) {
       uncharge_on_failure();
       return s;
@@ -664,10 +654,10 @@ void Server::install_handlers() {
     // Rot-on-write: a deferred chaos corruption lands on the verified bytes
     // after the pull check, so it stays silent until the next read.
     apply_pending_corrupt(block.data);
-    // A buddy copy goes to the server-level replica store, invisible to the
+    // A buddy copy goes to the pipeline's replica store, invisible to the
     // backend unless promoted during a recovery execute.
-    s = meta.replica_rank > 0 ? replicas_[meta.pipeline].put(std::move(block))
-                              : p->stage(std::move(block));
+    s = meta.replica_rank > 0 ? e->replicas.put(std::move(block))
+                              : e->backend->stage(std::move(block));
     if (!s.ok()) uncharge_on_failure();
     return s;
   });
@@ -679,11 +669,12 @@ void Server::install_handlers() {
     std::uint64_t iteration = 0;
     in.load(pipeline);
     in.load(iteration);
-    Backend* p = this->pipeline(pipeline);
-    if (p == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
+    PipelineEntry* e = entry(pipeline);
+    if (e == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
+    Backend* p = e->backend.get();
     // Recovery path: feed any replicas this member must stand in for (their
     // primary fell out of the frozen view) into the backend first.
-    promote_replicas(pipeline, p, iteration);
+    promote_replicas(*e, iteration);
     // Verify every stored block (repairing from buddies) before the backend
     // reads it. The backend re-checks each block right before parsing it, so
     // rot that lands *during* execute -- after this pass -- still cannot be
@@ -719,12 +710,12 @@ void Server::install_handlers() {
     in.load(block_id);
     in.load(field);
     StagedBlock block;
-    bool found = false;
-    if (Backend* p = this->pipeline(pipeline); p != nullptr) {
-      found = p->fetch_block(iteration, block_id, field, block);
-    }
-    if (!found) {
-      if (const auto* rb = find_replica(pipeline, iteration, block_id, field);
+    PipelineEntry* e = entry(pipeline);
+    bool found =
+        e != nullptr && e->backend->fetch_block(iteration, block_id, field,
+                                                block);
+    if (!found && e != nullptr) {
+      if (const auto* rb = e->replicas.find(iteration, block_id, field);
           rb != nullptr) {
         block.data = rb->data;
         block.checksum = rb->checksum;
@@ -747,15 +738,13 @@ void Server::install_handlers() {
     std::uint64_t iteration = 0;
     in.load(pipeline);
     in.load(iteration);
-    Backend* p = this->pipeline(pipeline);
-    if (p == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
-    Status s = p->deactivate(iteration);
-    active_set_.erase(iteration);
-    if (auto rit = replicas_.find(pipeline); rit != replicas_.end()) {
-      rit->second.close(iteration);
-    }
+    PipelineEntry* e = entry(pipeline);
+    if (e == nullptr) return Status::NotFound("pipeline '" + pipeline + "'");
+    Status s = e->backend->deactivate(iteration);
+    e->active.erase(iteration);
+    e->replicas.close(iteration);
     flow_->free_iteration(pipeline, iteration);
-    if (active_set_.empty() && leave_pending_) finish_leave();
+    if (leave_pending_ && active_iterations() == 0) finish_leave();
     return s;
   });
 

@@ -7,16 +7,19 @@
 // Consistency (paper S II-E): SSG is only eventually consistent, so clients
 // and servers run a two-phase commit at activate() time. prepare() carries
 // the client's view hash; a server votes yes only if its own SSG view hash
-// matches. commit() freezes the membership -- SSG keeps gossiping underneath,
-// but the *service view* (and the MoNA communicator handed to pipelines) only
-// changes between iterations. Graceful leaves requested while frozen are
-// deferred until the last active iteration deactivates.
+// matches. commit() freezes the membership for the committing pipeline --
+// SSG keeps gossiping underneath, but each pipeline's frozen view (and the
+// MoNA communicator handed to its backend) only changes at that pipeline's
+// own commits, so pipelines sharing the staging area never touch each
+// other's collectives. Graceful leaves requested while any pipeline is
+// frozen are deferred until the last active iteration deactivates.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -97,21 +100,19 @@ class Server {
   Status destroy_pipeline(const std::string& name);
   [[nodiscard]] Backend* pipeline(const std::string& name);
 
-  // The last committed (frozen) service view.
-  [[nodiscard]] const std::vector<net::ProcId>& service_view() const noexcept {
-    return service_view_;
-  }
-
   // Number of iterations currently active (committed but not deactivated)
-  // on this server. Exposed for the invariant harness: when every client
-  // iteration has completed, this must be zero on every survivor.
+  // on this server, summed over its pipelines. Exposed for the invariant
+  // harness: when every client iteration has completed, this must be zero on
+  // every survivor.
   [[nodiscard]] int active_iterations() const noexcept {
-    return static_cast<int>(active_set_.size());
+    std::size_t n = 0;
+    for (const auto& [name, e] : pipelines_) n += e.active.size();
+    return static_cast<int>(n);
   }
 
   // Buddy replicas currently held for (pipeline, iteration) in the
-  // server-level replica store (test/diagnostic accessor; backends never
-  // see replicas unless they are promoted).
+  // pipeline's replica store (test/diagnostic accessor; backends never see
+  // replicas unless they are promoted).
   [[nodiscard]] std::size_t replica_count(const std::string& pipeline,
                                           std::uint64_t iteration) const;
 
@@ -138,30 +139,47 @@ class Server {
   Server(net::Process& proc, ServerConfig config, ssg::Bootstrap* bootstrap);
 
   void install_handlers();
-  void commit_view();  // adopt the current SSG view as the service view
-  // 2PC-commit variant: adopts the view *and* rebuilds the service
-  // communicator under the client-chosen activation epoch, even when the
-  // membership did not change. Each activation attempt thus collects its
-  // collectives in a fresh tag space; stragglers from an earlier attempt
-  // (a retried execute whose peers are still blocked mid-collective) can
-  // never pair with the new attempt's operations.
-  void commit_view(std::uint64_t epoch);
   void finish_leave();
 
+  // One loaded pipeline with its own 2PC / freeze state. Pipelines sharing
+  // the staging area prepare, commit and freeze independently: a commit
+  // rebuilds only its own pipeline's communicator.
   struct PipelineEntry {
     std::string type;
     // Shared, not unique: the viewer tier's producer holds a weak_ptr, so a
     // render already popped off the tier's queue when destroy_pipeline runs
     // observes the teardown instead of touching a freed backend.
     std::shared_ptr<Backend> backend;
+    // The iteration a prepare voted yes for, until commit or abort.
+    std::optional<std::uint64_t> prepared;
+    // Active iterations are tracked as a set of ids so commit and
+    // deactivate are idempotent: a client that re-commits an iteration
+    // after losing the first commit's response must not leave the
+    // membership frozen forever.
+    std::set<std::uint64_t> active;
+    // Last committed activation epoch per iteration (see the commit
+    // handler's epoch fence).
+    std::map<std::uint64_t, std::uint64_t> committed_epoch;
+    // The view frozen by the last commit (sorted) and the communicator
+    // built over it, under a context keyed by (pipeline, epoch).
+    std::vector<net::ProcId> view;
+    std::shared_ptr<mona::Communicator> comm;
+    // Buddy copies of staged blocks (replica_rank > 0). They live here --
+    // backends stay replica-agnostic -- in slots opened at each fresh
+    // activation and closed at deactivate. The recorded copyset lets every
+    // member of a recovery view decide locally, and identically, who
+    // promotes a block: the first copyset member still in the frozen view.
+    StagedBlockStore replicas;
   };
+
+  // The record of pipeline `name`, or nullptr.
+  [[nodiscard]] PipelineEntry* entry(const std::string& name);
 
   // Feeds every replica this server must promote (first live copyset member
   // == self) for `iteration` into the backend's staging slot. Idempotent:
   // backend staging is keyed, so re-promotion on an execute retry replaces
   // the same block.
-  void promote_replicas(const std::string& name, Backend* backend,
-                        std::uint64_t iteration);
+  void promote_replicas(PipelineEntry& e, std::uint64_t iteration);
 
   // ---- integrity (docs/PROTOCOL.md, integrity section) --------------------
   // Scans the backend's stored blocks for `iteration` and repairs every
@@ -193,13 +211,8 @@ class Server {
   void note_mismatch(std::uint64_t block_id, const std::string& where);
   // Counts a block restored from a buddy's copy of `bytes` bytes.
   void note_repair(std::uint64_t bytes);
-  // The buddy replica under (pipeline, iteration, block_id, field), or
-  // nullptr.
-  [[nodiscard]] StagedBlockStore::Block* find_replica(
-      const std::string& pipeline, std::uint64_t iteration,
-      std::uint64_t block_id, const std::string& field);
   // One scrubber sweep over everything staged here: backend slots (via
-  // verify_and_repair) and the buddy-replica store (repaired in place by
+  // verify_and_repair) and the buddy-replica stores (repaired in place by
   // fetching from other copyset members).
   void scrub_pass();
   // The chaos hook (common::integrity::Registry): rots one stored payload
@@ -223,28 +236,6 @@ class Server {
   std::unique_ptr<viewer::ViewerTier> viewer_;
   std::unique_ptr<ssg::Group> group_;
   std::map<std::string, PipelineEntry> pipelines_;
-
-  std::vector<net::ProcId> service_view_;
-  std::uint64_t service_view_hash_ = 0;
-  std::shared_ptr<mona::Communicator> service_comm_;
-
-  // 2PC / freeze state. Active iterations are tracked as a set of ids so
-  // commit and deactivate are idempotent: a client that re-commits an
-  // iteration after losing the first commit's response must not leave the
-  // membership frozen forever.
-  bool prepared_ = false;
-  std::uint64_t prepared_iteration_ = 0;
-  std::set<std::uint64_t> active_set_;
-  // Last committed activation epoch per iteration (see the commit handler's
-  // epoch fence).
-  std::map<std::uint64_t, std::uint64_t> committed_epoch_;
-  // Buddy copies of staged blocks (replica_rank > 0), per pipeline. They
-  // live at the server level -- backends stay replica-agnostic -- in slots
-  // opened at each fresh activation and closed at deactivate. The recorded
-  // copyset lets every member of a recovery view decide locally, and
-  // identically, who promotes a block: the first copyset member still in the
-  // frozen service view.
-  std::map<std::string, StagedBlockStore> replicas_;
   IntegrityStats integrity_;
   // Corruptions injected while nothing was staged, waiting for the next
   // stored payload (FIFO).

@@ -26,7 +26,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <new>
@@ -186,15 +185,6 @@ class Simulation {
   bool block_current_for(Duration timeout);
 
   // ---- tracing -----------------------------------------------------------
-  // Records every fiber's execution spans (resume -> yield/block/finish, in
-  // VIRTUAL time) into a Chrome trace-event JSON file, loadable in
-  // chrome://tracing / Perfetto. pid = the fiber's tag (simulated process),
-  // tid = fiber id. Call stop_trace() (or destroy the Simulation) to finish
-  // the file.
-  void start_trace(const std::string& path);
-  void stop_trace();
-  [[nodiscard]] bool tracing() const noexcept { return trace_ != nullptr; }
-
   // External charge observer (the obs tracer folds compute spans into its
   // unified trace through this). Called from inside charge() BEFORE the
   // fiber advances, with the charged interval's start and duration; it must
@@ -306,8 +296,6 @@ class Simulation {
   void asan_on_fiber_entry() noexcept;
   friend class Fiber;
 #endif
-  std::FILE* trace_ = nullptr;
-  bool trace_first_event_ = true;
   ChargeListener charge_listener_ = nullptr;
   void* charge_ctx_ = nullptr;
   std::size_t nondaemon_fibers_ = 0;

@@ -11,7 +11,6 @@
 //
 // This is exactly the dependency-injection seam Colza exploits (S II-D):
 // neither the filters nor the compositor below know which one they run on.
-// set_global()/global() mirror vtkMultiProcessController::SetGlobalController.
 #pragma once
 
 #include <cstddef>
@@ -44,15 +43,6 @@ class Communicator {
   virtual Status gatherv(std::span<const std::byte> send,
                          std::span<std::byte> recv,
                          std::span<const std::size_t> counts, int root) = 0;
-
-  // Mirror of vtkMultiProcessController::SetGlobalController. The global is
-  // per simulated process in spirit; in this single-address-space harness it
-  // is a plain pointer the caller manages around pipeline execution.
-  static void set_global(Communicator* comm) noexcept { global_ = comm; }
-  [[nodiscard]] static Communicator* global() noexcept { return global_; }
-
- private:
-  static inline Communicator* global_ = nullptr;
 };
 
 // Shared implementation: both concrete controllers delegate to a

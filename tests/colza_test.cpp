@@ -9,6 +9,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -937,6 +938,103 @@ TEST(Colza, TwoPipelinesConcurrentIterations) {
     // Now the deferred leave proceeds.
     w.sim.sleep_for(seconds(12));
     EXPECT_EQ(w.area->alive_count(), 2u);
+  });
+  w.sim.run();
+}
+
+TEST(Colza, TwoPipelinesInterleavedShareIterationNumbers) {
+  // Late binding on one staging area (paper S II-B): pipeline "a" runs
+  // iterations 1-8, and "b" is created before iteration 3 and runs 3-8 under
+  // the same iteration numbers. Odd iterations drive the two back to back;
+  // even ones open both 2PC windows at once and keep both executes in
+  // flight. Each pipeline stages values into its own bin, so a collective
+  // matched across pipelines shows in the counts, and a commit of one
+  // pipeline must never revoke the other's communicator.
+  ColzaWorld w(3);
+  const std::string cfg = R"({"field":"v","bins":8,"range_lo":0,"range_hi":8})";
+  w.create_everywhere("a", "histogram", cfg);
+  w.client_proc->spawn("app", [&] {
+    const auto contacts = w.area->bootstrap().contacts();
+    Admin admin(w.client->engine());
+    auto ha = DistributedPipelineHandle::lookup(*w.client, contacts, "a");
+    ASSERT_TRUE(ha.has_value());
+    std::optional<DistributedPipelineHandle> hb;
+    auto bin_of = [](std::size_t p, std::uint64_t it) -> std::size_t {
+      return p == 0 ? it % 4 : 7 - it % 4;
+    };
+    // Pipeline p stages 6 blocks of 10 values, all in its bin for `it`.
+    auto stage_all = [&](DistributedPipelineHandle& h, std::size_t p,
+                         std::uint64_t it) {
+      for (std::uint64_t b = 0; b < 6; ++b) {
+        vis::UniformGrid g;
+        g.dims = {10, 1, 1};
+        g.point_data.add(vis::DataArray::make<float>(
+            "v",
+            std::vector<float>(10, static_cast<float>(bin_of(p, it)) + 0.5f)));
+        ASSERT_TRUE(h.stage(it, b, vis::DataSet{g}).ok());
+      }
+    };
+    auto run_back_to_back = [&](DistributedPipelineHandle& h, std::size_t p,
+                                std::uint64_t it) {
+      ASSERT_TRUE(h.activate(it).ok());
+      stage_all(h, p, it);
+      Status s = h.execute(it);
+      ASSERT_TRUE(s.ok()) << h.name() << " iteration " << it << ": "
+                          << s.to_string();
+      ASSERT_TRUE(h.deactivate(it).ok());
+    };
+    // Every server holds the pipeline's global result for `it`.
+    auto check = [&](DistributedPipelineHandle& h, std::size_t p,
+                     std::uint64_t it) {
+      for (net::ProcId server : h.view()) {
+        auto stats = admin.get_stats(server, h.name());
+        ASSERT_TRUE(stats.has_value());
+        const auto& iters = stats->find("iterations")->as_array();
+        ASSERT_FALSE(iters.empty()) << h.name() << " iteration " << it;
+        const auto& rec = iters.back();
+        EXPECT_EQ(rec.number_or("iteration", 0), static_cast<double>(it));
+        const auto& counts = rec.find("counts")->as_array();
+        ASSERT_EQ(counts.size(), 8u);
+        for (std::size_t bin = 0; bin < counts.size(); ++bin) {
+          EXPECT_EQ(counts[bin].as_number(), bin == bin_of(p, it) ? 60.0 : 0.0)
+              << h.name() << " iteration " << it << " bin " << bin;
+        }
+      }
+    };
+    for (std::uint64_t it = 1; it <= 8; ++it) {
+      if (it == 3) {
+        for (net::ProcId s : w.area->alive_addresses()) {
+          ASSERT_TRUE(admin.create_pipeline(s, "b", "histogram", cfg).ok());
+        }
+        auto looked_up = DistributedPipelineHandle::lookup(*w.client,
+                                                           contacts, "b");
+        ASSERT_TRUE(looked_up.has_value());
+        hb.emplace(std::move(*looked_up));
+      }
+      if (it % 2 == 1 || !hb.has_value()) {
+        run_back_to_back(*ha, 0, it);
+        if (hb.has_value()) run_back_to_back(*hb, 1, it);
+      } else {
+        auto aa = ha->iactivate(it);
+        auto ab = hb->iactivate(it);
+        ASSERT_TRUE(aa.wait().ok());
+        ASSERT_TRUE(ab.wait().ok());
+        stage_all(*ha, 0, it);
+        stage_all(*hb, 1, it);
+        auto ea = ha->iexecute(it);
+        auto eb = hb->iexecute(it);
+        Status sa = ea.wait();
+        Status sb = eb.wait();
+        ASSERT_TRUE(sa.ok()) << "a iteration " << it << ": " << sa.to_string();
+        ASSERT_TRUE(sb.ok()) << "b iteration " << it << ": " << sb.to_string();
+        ASSERT_TRUE(ha->deactivate(it).ok());
+        ASSERT_TRUE(hb->deactivate(it).ok());
+      }
+      // A failed assertion inside the helpers only leaves the helper.
+      if (::testing::Test::HasFatalFailure()) return;
+      check(*ha, 0, it);
+      if (hb.has_value()) check(*hb, 1, it);
+    }
   });
   w.sim.run();
 }

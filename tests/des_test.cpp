@@ -249,49 +249,6 @@ TEST(Simulation, ManyFibersDeterministicSchedule) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-
-TEST(Simulation, TraceWritesChromeEvents) {
-  const std::string path = "/tmp/colza_trace_test.json";
-  {
-    Simulation sim;
-    sim.start_trace(path);
-    sim.spawn("worker-a", [&] { sim.charge(milliseconds(3)); },
-              SpawnOptions{.tag = 7});
-    sim.spawn("worker-b", [&] {
-      sim.charge(milliseconds(1));
-      sim.charge(milliseconds(2));
-    });
-    sim.run();
-    sim.stop_trace();
-  }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string all;
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) all += buf;
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(all.front(), '[');
-  EXPECT_NE(all.find("worker-a [compute]"), std::string::npos);
-  EXPECT_NE(all.find("worker-b [compute]"), std::string::npos);
-  EXPECT_NE(all.find("\"dur\":3000.000"), std::string::npos);  // 3 ms in us
-  EXPECT_NE(all.find("\"pid\":7"), std::string::npos);          // the tag
-  // Three charge events in total.
-  std::size_t count = 0, pos = 0;
-  while ((pos = all.find("[compute]", pos)) != std::string::npos) {
-    ++count;
-    pos += 1;
-  }
-  EXPECT_EQ(count, 3u);
-}
-
-TEST(Simulation, TraceDisabledByDefault) {
-  Simulation sim;
-  EXPECT_FALSE(sim.tracing());
-  sim.spawn("f", [&] { sim.charge(milliseconds(1)); });
-  sim.run();  // must not crash or write anything
-}
-
 // --------------------------------------------------------------- sync
 
 TEST(Sync, MutexMutualExclusion) {

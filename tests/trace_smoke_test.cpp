@@ -159,5 +159,54 @@ TEST(TraceSmoke, FourRankMandelbulbTraceIsValidAndWellNested) {
   }
 }
 
+// The DES charge listener feeds every charge into the tracer as one
+// complete (X) event named "<fiber> [compute]": pid = the fiber's tag, tid =
+// its fiber id, virtual time in microseconds.
+TEST(Tracer, ChargesBecomeChromeComputeEvents) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  des::Simulation sim;
+  tracer.enable(sim);
+  sim.spawn("worker-a", [&] { sim.charge(des::milliseconds(3)); },
+            des::SpawnOptions{.tag = 7});
+  sim.spawn("worker-b", [&] {
+    sim.charge(des::milliseconds(1));
+    sim.charge(des::milliseconds(2));
+  });
+  sim.run();
+  tracer.disable();
+
+  const std::string text = tracer.chrome_json();
+  EXPECT_NE(text.find("\"dur\":3000.000"), std::string::npos);  // 3 ms in us
+  const json::Value doc = json::parse(text);
+  std::vector<const json::Value*> compute;
+  for (const auto& ev : doc.find("traceEvents")->as_array()) {
+    if (ev.string_or("cat", "") == "compute") compute.push_back(&ev);
+  }
+  ASSERT_EQ(compute.size(), 3u);  // one per charge
+  EXPECT_EQ(compute[0]->string_or("name", ""), "worker-a [compute]");
+  EXPECT_EQ(compute[0]->string_or("ph", ""), "X");
+  EXPECT_EQ(compute[0]->number_or("dur", 0), 3000.0);
+  EXPECT_EQ(compute[0]->number_or("pid", 0), 7.0);  // the tag
+  EXPECT_EQ(compute[1]->string_or("name", ""), "worker-b [compute]");
+  EXPECT_EQ(compute[2]->string_or("name", ""), "worker-b [compute]");
+  EXPECT_EQ(compute[2]->number_or("ts", 0), 1000.0);  // after the 1 ms charge
+  EXPECT_EQ(compute[1]->number_or("tid", 0), compute[2]->number_or("tid", 1));
+}
+
+// A tracer records nothing until enabled, nor once disabled; charging on a
+// simulation without a listener is a no-op.
+TEST(Tracer, DisabledTracerRecordsNoComputeSpans) {
+  obs::Tracer tracer;
+  des::Simulation sim;
+  EXPECT_FALSE(tracer.enabled());
+  sim.spawn("f", [&] { sim.charge(des::milliseconds(1)); });
+  sim.run();
+  tracer.enable(sim);
+  tracer.disable();
+  sim.spawn("g", [&] { sim.charge(des::milliseconds(1)); });
+  sim.run();
+  EXPECT_TRUE(tracer.events().empty());
+}
+
 }  // namespace
 }  // namespace colza
