@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/buffer_pool.hpp"
 #include "common/checksum.hpp"
 #include "des/simulation.hpp"
 
@@ -9,8 +10,17 @@ namespace colza {
 
 // ---------------------------------------------------------- StagedBlockStore
 
+namespace {
+// Hands the storage of every block in `slot` to the pool, for the next pull.
+void recycle(StagedBlockStore::Slot& slot) {
+  auto& pool = common::BufferPool::global();
+  for (auto& [key, block] : slot) pool.give_storage(std::move(block.data));
+  slot.clear();
+}
+}  // namespace
+
 void StagedBlockStore::open(std::uint64_t iteration) {
-  slots_[iteration].clear();
+  recycle(slots_[iteration]);
 }
 
 bool StagedBlockStore::is_open(std::uint64_t iteration) const {
@@ -28,13 +38,20 @@ Status StagedBlockStore::put(StagedBlock block) {
   stored.checksum = block.checksum;
   stored.sender = block.sender;
   stored.copyset = std::move(block.copyset);
-  it->second.insert_or_assign(
-      Key{block.block_id, std::move(block.field_name)}, std::move(stored));
+  auto [pos, fresh] = it->second.try_emplace(
+      Key{block.block_id, std::move(block.field_name)});
+  if (!fresh) {
+    common::BufferPool::global().give_storage(std::move(pos->second.data));
+  }
+  pos->second = std::move(stored);
   return Status::Ok();
 }
 
 void StagedBlockStore::close(std::uint64_t iteration) {
-  slots_.erase(iteration);
+  auto it = slots_.find(iteration);
+  if (it == slots_.end()) return;
+  recycle(it->second);
+  slots_.erase(it);
 }
 
 const StagedBlockStore::Slot* StagedBlockStore::slot(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/simd.hpp"
 #include "des/simulation.hpp"
@@ -25,42 +26,33 @@ Status HistogramBackend::stage(StagedBlock block) {
   // Validate the block up front -- it must parse and carry the configured
   // field as f32 values -- so a misconfigured pipeline fails the stage RPC,
   // not a later execute. The bytes just passed the pull-time CRC, so this
-  // parse reads known-good data. Nothing is binned here: execute() bins each
+  // walk reads known-good data. Nothing is binned here: execute() bins each
   // stored block once, behind a fresh CRC check, so bytes that rot in
   // staging memory never skew the counts. A block for an inactive iteration
   // is refused by Backend::stage unparsed.
   if (staged_.is_open(block.iteration)) {
-    try {
-      const vis::DataSet ds = vis::deserialize_dataset(block.data);
-      auto values = field_values(ds);
-      if (!values.has_value()) return values.status();
-    } catch (const std::exception& e) {
-      return Status::InvalidArgument(std::string("histogram: bad dataset: ") +
-                                     e.what());
-    }
+    auto values = field_bytes(block.data, field_);
+    if (!values.has_value()) return values.status();
   }
   return Backend::stage(std::move(block));
 }
 
-Expected<std::span<const float>> HistogramBackend::field_values(
-    const vis::DataSet& ds) const {
-  // Find the field in point data, falling back to cell data.
-  const vis::DataArray* arr = nullptr;
-  std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, vis::UniformGrid>) {
-          arr = v.point_data.find(field_);
-        } else if constexpr (std::is_same_v<T, vis::UnstructuredGrid>) {
-          arr = v.point_data.find(field_);
-          if (arr == nullptr) arr = v.cell_data.find(field_);
-        }
-      },
-      ds);
-  if (arr == nullptr)
-    return Status::NotFound("histogram: field '" + field_ +
+Expected<std::span<const std::byte>> HistogramBackend::field_bytes(
+    std::span<const std::byte> block, const std::string& field) {
+  std::optional<vis::ArrayView> arr;
+  try {
+    arr = vis::find_serialized_array(block, field);
+  } catch (const std::exception& e) {
+    return Status::InvalidArgument(std::string("histogram: bad dataset: ") +
+                                   e.what());
+  }
+  if (!arr.has_value())
+    return Status::NotFound("histogram: field '" + field +
                             "' not in staged block");
-  return arr->as<float>();
+  if (arr->type != vis::DataType::f32)
+    return Status::InvalidArgument("histogram: bad dataset: DataArray '" +
+                                   field + "': type mismatch");
+  return arr->bytes;
 }
 
 namespace {
@@ -74,16 +66,24 @@ F32x4 select(I32x4 mask, F32x4 a, F32x4 b) {
                                  (~mask & reinterpret_cast<I32x4>(b)));
 }
 
-// The earliest zero of `values`, which holds one: among equal extrema the
-// earliest value wins, and only zeros compare equal with differing bits.
-double first_zero(std::span<const float> values) {
-  return *std::find(values.begin(), values.end(), 0.0f);
+// The earliest zero among the f32 values in `values`, which holds one: among
+// equal extrema the earliest value wins, and only zeros compare equal with
+// differing bits.
+double first_zero(std::span<const std::byte> values) {
+  for (std::size_t i = 0;; i += sizeof(float)) {
+    float v;
+    std::memcpy(&v, values.data() + i, sizeof(v));
+    if (v == 0.0f) return v;
+  }
 }
 
 }  // namespace
 
-void HistogramBackend::accumulate(std::span<const float> values, float lo,
-                                  float hi, std::uint32_t bins, Local& local) {
+void HistogramBackend::accumulate(std::span<const std::byte> f32_values,
+                                  float lo, float hi, std::uint32_t bins,
+                                  Local& local) {
+  const std::byte* const values = f32_values.data();
+  const std::size_t count = f32_values.size() / sizeof(float);
   const float width = (hi - lo) / static_cast<float>(bins);
   const float top = static_cast<float>(bins - 1);
   // All ones unless every value belongs in bin 0.
@@ -110,27 +110,27 @@ void HistogramBackend::accumulate(std::span<const float> values, float lo,
     return __builtin_convertvector(q, I32x4) & binned & (v >= lo);
   };
   std::size_t i = 0;
-  for (; i + 4 <= values.size(); i += 4) {
+  for (; i + 4 <= count; i += 4) {
     F32x4 v;
-    std::memcpy(&v, values.data() + i, sizeof(v));
+    std::memcpy(&v, values + i * sizeof(float), sizeof(v));
     const I32x4 bin = bin_of(v);
     ++lane[0][bin[0]];
     ++lane[1][bin[1]];
     ++lane[2][bin[2]];
     ++lane[3][bin[3]];
   }
-  if (i < values.size()) {
+  if (i < count) {
     // NaN padding: it never becomes an extremum and is not counted.
     F32x4 v = F32x4{} + std::numeric_limits<float>::quiet_NaN();
-    std::memcpy(&v, values.data() + i, (values.size() - i) * sizeof(float));
+    std::memcpy(&v, values + i * sizeof(float), (count - i) * sizeof(float));
     const I32x4 bin = bin_of(v);
-    for (std::size_t l = 0; l < values.size() - i; ++l) ++lane[l][bin[l]];
+    for (std::size_t l = 0; l < count - i; ++l) ++lane[l][bin[l]];
   }
 
   for (std::uint32_t b = 0; b < bins; ++b) {
     local.counts[b] += lane[0][b] + lane[1][b] + lane[2][b] + lane[3][b];
   }
-  local.values += values.size();
+  local.values += count;
   // The extrema replace the carried-in ones only when strictly beyond them
   // (std::min / std::max keep the first of equals).
   float lo_seen = mn[0], hi_seen = mx[0];
@@ -139,9 +139,9 @@ void HistogramBackend::accumulate(std::span<const float> values, float lo,
     hi_seen = std::max(hi_seen, mx[l]);
   }
   if (lo_seen < local.min_seen)
-    local.min_seen = lo_seen != 0 ? lo_seen : first_zero(values);
+    local.min_seen = lo_seen != 0 ? lo_seen : first_zero(f32_values);
   if (local.max_seen < hi_seen)
-    local.max_seen = hi_seen != 0 ? hi_seen : first_zero(values);
+    local.max_seen = hi_seen != 0 ? hi_seen : first_zero(f32_values);
 }
 
 Status HistogramBackend::execute(std::uint64_t iteration) {
@@ -159,16 +159,11 @@ Status HistogramBackend::execute(std::uint64_t iteration) {
   Status s = staged_.for_each_verified(
       ctx_.proc->sim(), iteration,
       [&](const StagedBlockStore::Key&, std::span<const std::byte> data) {
-        try {
-          const vis::DataSet ds = vis::deserialize_dataset(data);
-          auto values = field_values(ds);
-          if (!values.has_value()) return values.status();
-          accumulate(*values, lo_, hi_, bins_, local);
-          return Status::Ok();
-        } catch (const std::exception& e) {
-          return Status::InvalidArgument(
-              std::string("histogram: bad dataset: ") + e.what());
-        }
+        // Binned where the bytes were pulled to, no copy.
+        auto values = field_bytes(data, field_);
+        if (!values.has_value()) return values.status();
+        accumulate(*values, lo_, hi_, bins_, local);
+        return Status::Ok();
       });
   if (!s.ok()) return s;
 

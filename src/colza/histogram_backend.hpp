@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "colza/backend.hpp"
-#include "vis/data.hpp"
 
 namespace colza {
 
@@ -60,25 +59,28 @@ class HistogramBackend final : public Backend {
     std::uint64_t values = 0;
     double min_seen = 1e300, max_seen = -1e300;
   };
-  // Bins `values` into `local` with bit-for-bit the result of one sequential
-  // pass in order: value v lands in bin (v - lo) / width (float division,
+  // The bytes of `field` inside a serialized vis::DataSet, found in place
+  // (vis::find_serialized_array; point data first, then cell data):
+  // InvalidArgument when the block does not parse or the field does not
+  // hold f32 values, NotFound when the block lacks the field.
+  [[nodiscard]] static Expected<std::span<const std::byte>> field_bytes(
+      std::span<const std::byte> block, const std::string& field);
+  // Bins the size() / 4 f32 values in `f32_values`, which need no alignment,
+  // into `local` with bit-for-bit the result of one sequential pass in
+  // order: value v lands in bin (v - lo) / width (float division,
   // width = (hi - lo) / bins, clamped to the top bin); below lo, NaN, or any
   // value when width <= 0 lands in bin 0; at or above hi in the top bin.
   // min_seen / max_seen follow std::min<double> / std::max<double> applied
   // value by value, so NaN never wins and, among equal values, the earliest
   // (this call's earlier values, or the carried-in extremum) does -- which
   // decides the sign of a zero extremum.
-  static void accumulate(std::span<const float> values, float lo, float hi,
-                         std::uint32_t bins, Local& local);
+  static void accumulate(std::span<const std::byte> f32_values, float lo,
+                         float hi, std::uint32_t bins, Local& local);
 
  private:
   std::string field_;
   std::uint32_t bins_ = 32;
   float lo_ = 0.0f, hi_ = 1.0f;
-  // The configured field's values, a view into `ds`: NotFound when the block
-  // lacks the field; throws when the block's field does not hold f32 values.
-  [[nodiscard]] Expected<std::span<const float>> field_values(
-      const vis::DataSet& ds) const;
   std::vector<Result> results_;
 };
 

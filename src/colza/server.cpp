@@ -5,6 +5,7 @@
 
 #include "colza/placement.hpp"
 #include "colza/supervisor.hpp"
+#include "common/buffer_pool.hpp"
 #include "common/checksum.hpp"
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -636,7 +637,10 @@ void Server::install_handlers() {
     block.sender = info.caller;
     block.checksum = meta.checksum;
     block.copyset = meta.copyset;
-    block.data.resize(meta.data.size);
+    // Into recycled storage: the pull overwrites every byte, so a block the
+    // size of one an earlier deactivate gave back costs no fill and no page
+    // faults.
+    block.data = common::BufferPool::global().take_storage(meta.data.size);
     Status s = engine_->rdma_pull(meta.data, 0, block.data);
     if (s.ok()) s = verify_pull(block.data);
     // Looked up again: destroy_pipeline may have run during the pull.
@@ -645,6 +649,7 @@ void Server::install_handlers() {
       s = Status::NotFound("pipeline '" + meta.pipeline + "'");
     if (!s.ok()) {
       uncharge_on_failure();
+      common::BufferPool::global().give_storage(std::move(block.data));
       return s;
     }
     obs::MetricsRegistry::global()

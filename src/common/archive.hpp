@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -118,6 +119,36 @@ class InArchive {
     if (n == 0) return;  // `out` may be null (an empty vector's data())
     std::memcpy(out, data_.data() + cursor_, n);
     cursor_ += n;
+  }
+
+  // The next `n` bytes, in place: advances past them without copying.
+  [[nodiscard]] std::span<const std::byte> view_raw(std::size_t n) {
+    if (n > remaining())
+      throw std::runtime_error("InArchive: truncated input");
+    const std::span<const std::byte> out = data_.subspan(cursor_, n);
+    cursor_ += n;
+    return out;
+  }
+
+  // The bytes of a serialized std::vector whose elements each take
+  // `elem_bytes`, in place. Refuses exactly the inputs that load() of such a
+  // vector refuses, without copying or allocating.
+  [[nodiscard]] std::span<const std::byte> view_vector(
+      std::size_t elem_bytes) {
+    std::uint64_t n = 0;
+    load(n);
+    if (n > remaining() / elem_bytes)
+      throw std::runtime_error("InArchive: bad vector size");
+    return view_raw(n * elem_bytes);
+  }
+
+  // A serialized std::string, in place.
+  [[nodiscard]] std::string_view view_string() {
+    std::uint64_t n = 0;
+    load(n);
+    if (n > remaining()) throw std::runtime_error("InArchive: bad string size");
+    const std::span<const std::byte> s = view_raw(n);
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
   }
 
   template <typename T>

@@ -8,6 +8,13 @@
 // travels by move through Network::transmit -> Mailbox -> demux, and its
 // destructor pushes the block back.
 //
+// The same pool recycles the storage of staged blocks (take_storage /
+// give_storage): exact-size vectors that a server fills by RDMA pull and
+// keeps until deactivate. They are not power-of-two classed -- a 1 MiB block
+// must not pin a 2 MiB buffer -- but kept whole, so the next pull of a block
+// of the same size lands in pages that are already mapped, and nothing is
+// zero-filled before the pull overwrites it.
+//
 // The DES is single-OS-thread by design (see des/simulation.hpp), so the
 // pool is deliberately lock-free-by-construction: plain containers, no
 // atomics. Pooling never affects simulation results -- it only changes which
@@ -17,6 +24,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -95,6 +103,12 @@ class BufferPool {
   static constexpr std::size_t kMinClassLog2 = 6;   // 64 B
   static constexpr std::size_t kMaxClassLog2 = 24;  // 16 MiB
   static constexpr std::size_t kMaxPerClass = 64;   // freelist depth cap
+  // Cap on the bytes of staged-block storage kept for reuse. It holds one
+  // iteration of 64 staged 1 MiB blocks (32 primaries and their buddy
+  // replicas) with room to spare: a cap just below a workload's staged set
+  // frees and reallocates a block every iteration, and allocator
+  // fragmentation then grows the resident set by a block per iteration.
+  static constexpr std::size_t kMaxIdleStorageBytes = std::size_t{80} << 20;
 
   BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
@@ -131,6 +145,19 @@ class BufferPool {
     return b;
   }
 
+  // A vector of size `n` for a staged block, to be overwritten whole. It
+  // reuses idle storage of capacity n..2n when there is some (the smallest),
+  // zero-filling only the bytes beyond what that storage last held -- none
+  // when it last held a block of at least n bytes. Otherwise it is a fresh,
+  // zero-filled vector.
+  [[nodiscard]] std::vector<std::byte> take_storage(std::size_t n);
+  // Keeps `v`'s storage for take_storage, unless that would put more than
+  // kMaxIdleStorageBytes in the pool; then `v` is freed.
+  void give_storage(std::vector<std::byte> v);
+  [[nodiscard]] std::size_t idle_storage_bytes() const noexcept {
+    return idle_storage_bytes_;
+  }
+
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
   [[nodiscard]] std::size_t idle_buffers() const noexcept {
@@ -143,6 +170,8 @@ class BufferPool {
       l.clear();
       l.shrink_to_fit();
     }
+    storage_.clear();
+    idle_storage_bytes_ = 0;
   }
 
  private:
@@ -169,6 +198,9 @@ class BufferPool {
       std::vector<FreeList>(kMaxClassLog2 - kMinClassLog2 + 1);
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  // Idle staged-block storage, keyed by capacity.
+  std::multimap<std::size_t, std::vector<std::byte>> storage_;
+  std::size_t idle_storage_bytes_ = 0;
 };
 
 inline void Buffer::release() noexcept {

@@ -7,9 +7,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -288,6 +290,21 @@ using DataSet = std::variant<UniformGrid, UnstructuredGrid, TriangleMesh>;
 
 [[nodiscard]] std::vector<std::byte> serialize_dataset(const DataSet& ds);
 [[nodiscard]] DataSet deserialize_dataset(std::span<const std::byte> bytes);
+
+// A DataArray's type and a view of its bytes inside a serialized DataSet.
+// The bytes keep the block's alignment: read them with memcpy.
+struct ArrayView {
+  DataType type = DataType::f32;
+  std::span<const std::byte> bytes;
+};
+// The array that deserialize_dataset(bytes) would hold under `name` -- the
+// first such in point data, else the first in cell data -- found by walking
+// the serialized block in place: every other array's bytes are skipped, never
+// copied. nullopt when the dataset has no such array. Throws
+// std::runtime_error on exactly the blocks deserialize_dataset refuses, which
+// takes a walk through the whole block, past the array too.
+[[nodiscard]] std::optional<ArrayView> find_serialized_array(
+    std::span<const std::byte> bytes, std::string_view name);
 [[nodiscard]] std::size_t dataset_byte_size(const DataSet& ds);
 [[nodiscard]] Aabb dataset_bounds(const DataSet& ds);
 

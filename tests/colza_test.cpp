@@ -10,6 +10,9 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
+#include <variant>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "colza/client.hpp"
 #include "colza/deploy.hpp"
 #include "colza/server.hpp"
+#include "common/buffer_pool.hpp"
 #include "common/checksum.hpp"
 #include "des/simulation.hpp"
 #include "net/network.hpp"
@@ -593,28 +597,44 @@ void reference_accumulate(std::span<const float> values, float lo_, float hi_,
   }
 }
 
+// Compares two accumulations bitwise: counts, value count and both extrema.
+void expect_same_accumulation(const HistogramBackend::Local& got,
+                              const HistogramBackend::Local& want,
+                              const std::string& where) {
+  ASSERT_EQ(got.counts.size(), want.counts.size()) << where;
+  ASSERT_EQ(std::memcmp(got.counts.data(), want.counts.data(),
+                        got.counts.size() * sizeof(std::uint64_t)),
+            0)
+      << where;
+  EXPECT_EQ(got.values, want.values) << where;
+  EXPECT_EQ(std::memcmp(&got.min_seen, &want.min_seen, sizeof(double)), 0)
+      << where << ": min " << got.min_seen << " vs " << want.min_seen;
+  EXPECT_EQ(std::memcmp(&got.max_seen, &want.max_seen, sizeof(double)), 0)
+      << where << ": max " << got.max_seen << " vs " << want.max_seen;
+}
+
 // Runs `blocks` through both kernels into one carried accumulation each and
-// compares counts, value count and both extrema bitwise after every block.
+// compares them bitwise after every block. The kernel reads each block's
+// values from bytes that start `offset` bytes into a buffer, as staged
+// fields do (a UniformGrid's first array starts at byte 67).
 void expect_kernel_matches_reference(
     const std::vector<std::vector<float>>& blocks, float lo, float hi,
-    std::uint32_t bins, const std::string& what) {
+    std::uint32_t bins, const std::string& what, std::size_t offset) {
   HistogramBackend::Local got, want;
   got.counts.assign(bins, 0);
   want.counts.assign(bins, 0);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    HistogramBackend::accumulate(blocks[b], lo, hi, bins, got);
+    const std::span<const std::byte> values = std::as_bytes(
+        std::span<const float>(blocks[b]));
+    std::vector<std::byte> unaligned(offset + values.size());
+    std::copy(values.begin(), values.end(), unaligned.begin() + offset);
+    HistogramBackend::accumulate(std::span(unaligned).subspan(offset), lo, hi,
+                                 bins, got);
     reference_accumulate(blocks[b], lo, hi, bins, want);
-    const std::string where = what + " block " + std::to_string(b) +
-                              " length " + std::to_string(blocks[b].size());
-    ASSERT_EQ(std::memcmp(got.counts.data(), want.counts.data(),
-                          bins * sizeof(std::uint64_t)),
-              0)
-        << where;
-    EXPECT_EQ(got.values, want.values) << where;
-    EXPECT_EQ(std::memcmp(&got.min_seen, &want.min_seen, sizeof(double)), 0)
-        << where << ": min " << got.min_seen << " vs " << want.min_seen;
-    EXPECT_EQ(std::memcmp(&got.max_seen, &want.max_seen, sizeof(double)), 0)
-        << where << ": max " << got.max_seen << " vs " << want.max_seen;
+    const std::string where = what + " offset " + std::to_string(offset) +
+                              " block " + std::to_string(b) + " length " +
+                              std::to_string(blocks[b].size());
+    expect_same_accumulation(got, want, where);
   }
 }
 
@@ -662,10 +682,13 @@ TEST(Histogram, VectorKernelMatchesSequentialLoopBitForBit) {
         for (float& v : block) v = draw();
         blocks.push_back(std::move(block));
       }
-      expect_kernel_matches_reference(
-          blocks, r.lo, r.hi, bins,
-          "range [" + std::to_string(r.lo) + ", " + std::to_string(r.hi) +
-              ") bins " + std::to_string(bins));
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        expect_kernel_matches_reference(
+            blocks, r.lo, r.hi, bins,
+            "range [" + std::to_string(r.lo) + ", " + std::to_string(r.hi) +
+                ") bins " + std::to_string(bins),
+            offset);
+      }
     }
   }
 }
@@ -684,10 +707,183 @@ TEST(Histogram, VectorKernelKeepsTheFirstZeroExtremum) {
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     for (std::uint32_t bins : {1u, 32u}) {
-      expect_kernel_matches_reference(cases[c], 0.0f, 1.0f, bins,
-                                      "case " + std::to_string(c));
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        expect_kernel_matches_reference(cases[c], 0.0f, 1.0f, bins,
+                                        "case " + std::to_string(c), offset);
+      }
     }
   }
+}
+
+// ------------------------------------------------- in-place field lookup
+
+// The validation that HistogramBackend::field_bytes replaced: deserialize
+// the whole block, then take the field from point data, else cell data, as
+// f32 values. Any exception is the InvalidArgument the backend reported.
+Expected<std::vector<float>> reference_field_values(
+    std::span<const std::byte> block, const std::string& field) {
+  try {
+    const vis::DataSet ds = vis::deserialize_dataset(block);
+    const vis::DataArray* arr = nullptr;
+    if (const auto* g = std::get_if<vis::UniformGrid>(&ds)) {
+      arr = g->point_data.find(field);
+    } else if (const auto* u = std::get_if<vis::UnstructuredGrid>(&ds)) {
+      arr = u->point_data.find(field);
+      if (arr == nullptr) arr = u->cell_data.find(field);
+    }
+    if (arr == nullptr) return Status::NotFound("no field");
+    const std::span<const float> values = arr->as<float>();
+    return std::vector<float>(values.begin(), values.end());
+  } catch (const std::exception& e) {
+    return Status::InvalidArgument(e.what());
+  }
+}
+
+// field_bytes and the deserializing reference agree on `block`: both accept
+// or both refuse with the same code; accepted, they yield the same values,
+// which bin to the same counts, value count and extrema.
+void expect_walk_matches_reference(std::span<const std::byte> block,
+                                   const std::string& field,
+                                   const std::string& what) {
+  const auto want = reference_field_values(block, field);
+  const auto got = HistogramBackend::field_bytes(block, field);
+  ASSERT_EQ(got.has_value(), want.has_value())
+      << what << ": " << got.status().to_string() << " vs "
+      << want.status().to_string();
+  if (!got.has_value()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    return;
+  }
+  ASSERT_EQ(got->size() / sizeof(float), want->size()) << what;
+  if (!want->empty()) {  // memcmp's pointers must not be null
+    EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                          want->size() * sizeof(float)),
+              0)
+        << what;
+  }
+  HistogramBackend::Local in_place, copied;
+  in_place.counts.assign(8, 0);
+  copied.counts.assign(8, 0);
+  HistogramBackend::accumulate(*got, 0.0f, 1.0f, 8, in_place);
+  HistogramBackend::accumulate(std::as_bytes(std::span<const float>(*want)),
+                               0.0f, 1.0f, 8, copied);
+  expect_same_accumulation(in_place, copied, what);
+}
+
+// f32 values 0, 1/n, 2/n, ... shifted by `base`, so arrays differ.
+std::vector<float> ramp(std::size_t n, float base) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = base + static_cast<float>(i) / static_cast<float>(n);
+  return v;
+}
+
+// Serialized blocks covering the shapes a staged block can take, each named
+// for the failure messages. The looked-up field is "v" throughout.
+std::vector<std::pair<std::string, std::vector<std::byte>>> walk_cases() {
+  std::vector<std::pair<std::string, std::vector<std::byte>>> out;
+  auto grid = [](std::vector<vis::DataArray> arrays) {
+    vis::UniformGrid g;
+    g.dims = {3, 2, 1};
+    g.origin = {0.5f, -1.0f, 2.0f};
+    for (auto& a : arrays) g.point_data.add(std::move(a));
+    return vis::serialize_dataset(vis::DataSet{std::move(g)});
+  };
+  const auto v = vis::DataArray::make<float>("v", ramp(6, 0.0f));
+  const auto w = vis::DataArray::make<float>("w", ramp(6, 0.25f));
+  const auto ids = vis::DataArray::make<std::int32_t>(
+      "ids", std::vector<std::int32_t>{1, 2, 3, 4, 5, 6});
+  out.emplace_back("grid, field alone", grid({v}));
+  out.emplace_back("grid, field first", grid({v, w, ids}));
+  out.emplace_back("grid, field middle", grid({w, v, ids}));
+  out.emplace_back("grid, field last", grid({ids, w, v}));
+  out.emplace_back("grid, field twice",
+                   grid({w, vis::DataArray::make<float>("v", ramp(5, 0.5f)),
+                         v}));
+  out.emplace_back("grid, field missing", grid({w, ids}));
+  out.emplace_back("grid, no arrays", grid({}));
+  out.emplace_back("grid, f64 field",
+                   grid({w, vis::DataArray::make<double>(
+                                "v", std::vector<double>{0.1, 0.2, 0.3})}));
+  out.emplace_back("grid, empty field",
+                   grid({vis::DataArray::make<float>("v",
+                                                     std::vector<float>{})}));
+
+  auto mesh = [](std::vector<vis::DataArray> point,
+                 std::vector<vis::DataArray> cell) {
+    vis::UnstructuredGrid u;
+    u.points = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}};
+    const std::uint32_t t0[] = {0, 1, 2, 3};
+    const std::uint32_t t1[] = {1, 2, 3, 4};
+    u.add_cell(vis::CellType::tetra, t0);
+    u.add_cell(vis::CellType::tetra, t1);
+    for (auto& a : point) u.point_data.add(std::move(a));
+    for (auto& a : cell) u.cell_data.add(std::move(a));
+    return vis::serialize_dataset(vis::DataSet{std::move(u)});
+  };
+  const auto pv = vis::DataArray::make<float>("v", ramp(5, 0.0f));
+  const auto cv = vis::DataArray::make<float>("v", ramp(2, 0.5f));
+  const auto pw = vis::DataArray::make<float>("w", ramp(5, 0.125f));
+  const auto cw = vis::DataArray::make<float>("w", ramp(2, 0.75f));
+  out.emplace_back("mesh, point field", mesh({pw, pv}, {cw}));
+  out.emplace_back("mesh, cell field", mesh({pw}, {cw, cv}));
+  out.emplace_back("mesh, field in both", mesh({pv, pw}, {cv, cw}));
+  out.emplace_back("mesh, field missing", mesh({pw}, {cw}));
+  out.emplace_back(
+      "mesh, f64 cell field",
+      mesh({pw}, {vis::DataArray::make<double>("v",
+                                                std::vector<double>{1, 2})}));
+
+  vis::TriangleMesh tri;
+  tri.points = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
+  tri.scalars = {0.1f, 0.2f, 0.3f};
+  tri.triangles = {0, 1, 2};
+  out.emplace_back("triangle mesh", vis::serialize_dataset(vis::DataSet{tri}));
+  return out;
+}
+
+TEST(Histogram, InPlaceFieldLookupMatchesDeserialize) {
+  for (const auto& [name, block] : walk_cases()) {
+    expect_walk_matches_reference(block, "v", name);
+    // Every truncation, through the header and inside every later array.
+    for (std::size_t n = 0; n < block.size(); ++n) {
+      expect_walk_matches_reference(std::span(block).first(n), "v",
+                                    name + " truncated to " +
+                                        std::to_string(n));
+    }
+    // Bad variant indices, then damaged length and type bytes: each of the
+    // first 96 bytes flipped by masks that make counts huge or off by one.
+    for (std::uint8_t index : {3, 4, 255}) {
+      std::vector<std::byte> bad = block;
+      bad[0] = std::byte{index};
+      expect_walk_matches_reference(bad, "v",
+                                    name + " index " + std::to_string(index));
+    }
+    for (std::size_t at = 0; at < std::min<std::size_t>(block.size(), 96);
+         ++at) {
+      for (std::uint8_t mask : {0x01, 0x7f, 0x80, 0xff}) {
+        std::vector<std::byte> bad = block;
+        bad[at] ^= std::byte{mask};
+        expect_walk_matches_reference(bad, "v",
+                                      name + " byte " + std::to_string(at) +
+                                          " ^ " + std::to_string(mask));
+      }
+    }
+  }
+}
+
+// A UniformGrid's first array's values start at byte 67, so staged fields
+// are read unaligned; binning them in place gives the copied result.
+TEST(Histogram, InPlaceFieldIsBinnedUnaligned) {
+  vis::UniformGrid g;
+  g.dims = {8, 8, 8};
+  g.point_data.add(vis::DataArray::make<float>("v", ramp(512, -0.25f)));
+  const std::vector<std::byte> block =
+      vis::serialize_dataset(vis::DataSet{g});
+  const auto bytes = HistogramBackend::field_bytes(block, "v");
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(bytes->data() - block.data(), 67);
+  expect_walk_matches_reference(block, "v", "512 values at offset 67");
 }
 
 // ------------------------------------------------------- staged-block store
@@ -779,6 +975,72 @@ TEST(StagedBlockStore, ForEachVerifiedStopsAtFirstRottenBlock) {
   EXPECT_EQ(s.code(), StatusCode::corrupt);
   EXPECT_EQ(s.detail(), 3u);  // block_id + 1
   EXPECT_EQ(used, (std::vector<std::uint64_t>{0, 1}));
+}
+
+// Storage a closed, re-opened or replaced slot gives back is what the next
+// pull of a block that fits lands in, and the store treats it like any other:
+// rot in it is still caught by scan and for_each_verified.
+TEST(StagedBlockStore, RecycledStorageIsReusedAndStillVerified) {
+  auto& pool = common::BufferPool::global();
+  pool.trim();
+  // A block of `n` bytes in pool storage, as the stage handler builds it.
+  auto pulled = [&](std::uint64_t iteration, std::size_t n, std::uint8_t seed) {
+    StagedBlock b;
+    b.iteration = iteration;
+    b.field_name = "v";
+    b.data = pool.take_storage(n);
+    for (std::size_t i = 0; i < n; ++i)
+      b.data[i] = static_cast<std::byte>(seed + i * 13);
+    b.checksum = common::crc32c(b.data);
+    return b;
+  };
+  constexpr std::size_t n = 4096;
+  StagedBlockStore store;
+  store.open(1);
+  ASSERT_TRUE(store.put(pulled(1, n, 1)).ok());
+  const std::byte* first = store.find(1, 0, "v")->data.data();
+  store.close(1);
+  EXPECT_EQ(pool.idle_storage_bytes(), n);
+
+  // Smaller: the same storage, holding exactly the new bytes.
+  store.open(2);
+  StagedBlock smaller = pulled(2, n - 7, 2);
+  EXPECT_EQ(smaller.data.data(), first);
+  const std::vector<std::byte> smaller_bytes = smaller.data;
+  ASSERT_TRUE(store.put(std::move(smaller)).ok());
+  EXPECT_EQ(store.find(2, 0, "v")->data, smaller_bytes);
+  EXPECT_EQ(pool.idle_storage_bytes(), 0u);
+
+  // A replacing put hands the old storage back; a re-open does too.
+  ASSERT_TRUE(store.put(pulled(2, n + 13, 3)).ok());
+  EXPECT_EQ(pool.idle_storage_bytes(), n);
+  store.open(2);
+  EXPECT_EQ(pool.idle_storage_bytes(), 2 * n + 13);
+
+  // Storage from a smaller block is reused for a larger one that fits.
+  ASSERT_TRUE(store.put(pulled(2, n, 4)).ok());
+  StagedBlockStore::Block* stored = store.find(2, 0, "v");
+  EXPECT_EQ(stored->data.data(), first);
+  EXPECT_EQ(stored->data.size(), n);
+  EXPECT_EQ(common::crc32c(stored->data), stored->checksum);
+
+  // Rot at rest in recycled storage is caught by both readers.
+  stored->data[n - 1] ^= std::byte{0x40};
+  const auto scan = store.scan(2);
+  ASSERT_EQ(scan.size(), 1u);
+  EXPECT_FALSE(scan[0].valid);
+  des::Simulation sim;
+  bool used = false;
+  const Status s = store.for_each_verified(
+      sim, 2, [&](const StagedBlockStore::Key&, std::span<const std::byte>) {
+        used = true;
+        return Status::Ok();
+      });
+  EXPECT_EQ(s.code(), StatusCode::corrupt);
+  EXPECT_FALSE(used);
+  store.close(2);
+  pool.trim();
+  EXPECT_EQ(pool.idle_storage_bytes(), 0u);
 }
 
 // ------------------------------------------------------------- elasticity

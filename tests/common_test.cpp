@@ -320,6 +320,30 @@ TEST(BufferPool, FreelistDepthIsCapped) {
   EXPECT_EQ(pool.idle_buffers(), 0u);
 }
 
+// Staged-block storage: kept whole up to the byte cap, and handed out only
+// to requests it is at most twice the size of.
+TEST(BufferPool, StorageRetentionIsCappedAndSizeMatched) {
+  common::BufferPool pool;
+  constexpr std::size_t block = std::size_t{4} << 20;
+  constexpr std::size_t cap = common::BufferPool::kMaxIdleStorageBytes;
+  for (std::size_t i = 0; i * block <= cap; ++i) {
+    std::vector<std::byte> v;
+    v.reserve(block);  // counted by capacity; no pages touched
+    pool.give_storage(std::move(v));
+  }
+  EXPECT_EQ(pool.idle_storage_bytes(), cap / block * block);
+
+  const std::vector<std::byte> small = pool.take_storage(block / 2 - 1);
+  EXPECT_EQ(small.capacity(), block / 2 - 1);  // fresh
+  EXPECT_EQ(pool.idle_storage_bytes(), cap / block * block);
+  const std::vector<std::byte> half = pool.take_storage(block / 2);
+  EXPECT_EQ(half.size(), block / 2);
+  EXPECT_EQ(half.capacity(), block);  // recycled
+  EXPECT_EQ(pool.idle_storage_bytes(), cap / block * block - block);
+  pool.trim();
+  EXPECT_EQ(pool.idle_storage_bytes(), 0u);
+}
+
 TEST(BufferPool, AdoptedVectorIsNotPooled) {
   common::BufferPool pool;
   std::vector<std::byte> v(50, std::byte{42});

@@ -21,6 +21,7 @@
 #include "colza/histogram_backend.hpp"
 #include "colza/server.hpp"
 #include "colza/supervisor.hpp"
+#include "common/buffer_pool.hpp"
 #include "common/hash.hpp"
 #include "common/integrity.hpp"
 #include "des/simulation.hpp"
@@ -430,6 +431,114 @@ TEST(Integrity, ClientHealsIterationWhenAllCopiesRot) {
   EXPECT_EQ(repairs, 0u);  // no intact copy anywhere until the re-stages
   ASSERT_NE(w.hash_of(1), 0u);
   EXPECT_EQ(w.hash_of(2), w.hash_of(1));
+}
+
+// Fails or rots every RDMA pull while armed.
+class PullFault final : public net::FaultInjector {
+ public:
+  enum class Mode { none, flip, drop };
+  Mode mode = Mode::none;
+
+  net::FaultVerdict on_message(const net::Process&, const net::Process&,
+                               const std::string&, std::uint64_t,
+                               std::size_t, des::Duration) override {
+    return {};
+  }
+  net::FaultVerdict on_rdma(const net::Process&, net::ProcId, std::size_t,
+                            des::Duration) override {
+    net::FaultVerdict v;
+    v.drop = mode == Mode::drop;
+    if (mode == Mode::flip) {
+      v.corrupt_xor = 0x20;
+      v.corrupt_offset = 1234;
+    }
+    return v;
+  }
+};
+
+// `size` bytes that differ for each seed.
+std::vector<std::byte> payload_of(std::size_t size, std::uint8_t seed) {
+  std::vector<std::byte> out(size);
+  for (std::size_t i = 0; i < size; ++i)
+    out[i] = static_cast<std::byte>((i * 131 + seed * 7) ^ (i >> 8));
+  return out;
+}
+
+// Staged blocks are pulled into storage that earlier blocks gave back. Each
+// stored block still holds exactly its own payload -- shorter or longer than
+// the storage's last one, across deactivate/activate or replacing a block --
+// and every integrity check holds for it: in-flight rot is refused, a failed
+// pull stages nothing, and rot at rest is found.
+TEST(Integrity, RecycledStagedStorageHoldsExactlyTheNewPayload) {
+  common::BufferPool::global().trim();
+  IntegrityWorld w(1, 0, /*scrub=*/0);
+  PullFault fault;
+  w.net.set_fault_injector(&fault);
+  Server* server = w.area->servers().front().get();
+  Backend* backend = server->pipeline("render");
+  auto stored = [&](std::uint64_t iteration) {
+    return backend->stored_payload(iteration, 0, "");
+  };
+  constexpr std::size_t n = 64 * 1024;
+  w.run([&] {
+    auto h = w.lookup();
+    ASSERT_TRUE(h.has_value());
+    auto stage = [&](std::uint64_t iteration,
+                     const std::vector<std::byte>& data) {
+      return h->stage(iteration, 0, std::span<const std::byte>(data));
+    };
+    const auto first = payload_of(n, 1);
+    ASSERT_TRUE(h->activate(1).ok());
+    ASSERT_TRUE(stage(1, first).ok());
+    ASSERT_NE(stored(1), nullptr);
+    EXPECT_EQ(*stored(1), first);
+    const std::byte* storage = stored(1)->data();
+    ASSERT_TRUE(h->deactivate(1).ok());
+
+    // Shorter, in the next iteration: the same storage, the new bytes.
+    const auto shorter = payload_of(n - 7, 2);
+    ASSERT_TRUE(h->activate(2).ok());
+    ASSERT_TRUE(stage(2, shorter).ok());
+    EXPECT_EQ(stored(2)->data(), storage);
+    EXPECT_EQ(*stored(2), shorter);
+    // Longer, retransmitted over it, then the original size again.
+    const auto longer = payload_of(n + 13, 3);
+    ASSERT_TRUE(stage(2, longer).ok());
+    EXPECT_EQ(*stored(2), longer);
+    const auto again = payload_of(n, 4);
+    ASSERT_TRUE(stage(2, again).ok());
+    EXPECT_EQ(stored(2)->data(), storage);
+    EXPECT_EQ(*stored(2), again);
+    ASSERT_TRUE(h->deactivate(2).ok());
+
+    ASSERT_TRUE(h->activate(3).ok());
+    // Rot in flight: every retransmit fails its CRC, nothing is staged.
+    fault.mode = PullFault::Mode::flip;
+    EXPECT_EQ(stage(3, first).code(), StatusCode::corrupt);
+    EXPECT_EQ(stored(3), nullptr);
+    // A pull that fails outright stages nothing either.
+    fault.mode = PullFault::Mode::drop;
+    EXPECT_EQ(stage(3, first).code(), StatusCode::unreachable);
+    EXPECT_EQ(stored(3), nullptr);
+    fault.mode = PullFault::Mode::none;
+    ASSERT_TRUE(stage(3, first).ok());
+    EXPECT_EQ(stored(3)->data(), storage);  // failed pulls gave it back
+    EXPECT_EQ(*stored(3), first);
+
+    // Rot at rest, through stored_payload, is found by the scan and fails
+    // the execute (no buddy copy to repair from).
+    const auto res =
+        Registry::corrupt(&w.sim, server->address(), CorruptMode::bit_flip, 0);
+    EXPECT_EQ(res.blocks, 1u);
+    const auto scan = backend->integrity_scan(3);
+    ASSERT_EQ(scan.size(), 1u);
+    EXPECT_FALSE(scan[0].valid);
+    EXPECT_EQ(h->execute(3).code(), StatusCode::corrupt);
+    ASSERT_TRUE(h->deactivate(3).ok());
+  });
+  w.net.set_fault_injector(nullptr);
+  // Four flipped pulls (the first send and three retransmits), one rot.
+  EXPECT_EQ(server->integrity().mismatches, 5u);
 }
 
 // A corruption aimed at an idle server defers to its next stored payload
