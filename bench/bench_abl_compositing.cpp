@@ -11,7 +11,6 @@
 #include "icet/icet.hpp"
 #include "mona/mona.hpp"
 #include "net/network.hpp"
-#include "vis/communicator.hpp"
 
 namespace {
 
@@ -34,7 +33,7 @@ Result run(icet::Strategy strategy, int nprocs, int image_edge) {
     insts.push_back(std::make_unique<mona::Instance>(p));
     addrs.push_back(p.id());
   }
-  std::vector<std::unique_ptr<vis::MonaCommunicator>> comms(
+  std::vector<std::shared_ptr<mona::Communicator>> comms(
       static_cast<std::size_t>(nprocs));
   std::vector<render::FrameBuffer> fbs(static_cast<std::size_t>(nprocs));
   Result result;
@@ -42,8 +41,7 @@ Result run(icet::Strategy strategy, int nprocs, int image_edge) {
   std::uint64_t bytes = 0;
   for (int i = 0; i < nprocs; ++i) {
     comms[static_cast<std::size_t>(i)] =
-        std::make_unique<vis::MonaCommunicator>(
-            insts[static_cast<std::size_t>(i)]->comm_create(addrs));
+        insts[static_cast<std::size_t>(i)]->comm_create(addrs);
     auto& fb = fbs[static_cast<std::size_t>(i)];
     fb.resize(image_edge, image_edge);
     // ~60% active pixels, rank-dependent depths (a realistic composited
@@ -59,9 +57,9 @@ Result run(icet::Strategy strategy, int nprocs, int image_edge) {
   }
   for (int i = 0; i < nprocs; ++i) {
     procs[static_cast<std::size_t>(i)]->spawn("compose", [&, i] {
-      auto vt = icet::make_vtable(*comms[static_cast<std::size_t>(i)]);
       const des::Time t0 = sim.now();
-      auto r = icet::composite(fbs[static_cast<std::size_t>(i)], vt, strategy,
+      auto r = icet::composite(fbs[static_cast<std::size_t>(i)],
+                               *comms[static_cast<std::size_t>(i)], strategy,
                                icet::CompositeOp::closest_depth);
       r.status().check();
       bytes += r->bytes_sent;

@@ -260,10 +260,10 @@ Status GrayScott3D::step(mona::Communicator* comm) {
   for (int s = 0; s < params_.steps_per_iteration; ++s) {
     Status st = exchange_halos(comm);
     if (!st.ok()) return st;
-    if (sim != nullptr && sim->in_fiber()) {
-      sim->charge_scoped([&] { apply_stencil(); });
-    } else {
+    if (sim == nullptr) {
       apply_stencil();
+    } else {
+      sim->charge_scoped([&] { apply_stencil(); });
     }
   }
   return Status::Ok();

@@ -37,9 +37,8 @@ Damaris::Damaris(net::Network& net, Config config, net::NodeId base_node)
 Status Damaris::write(int client_rank, std::uint64_t iteration,
                       const vis::DataSet& block) {
   auto& sim = net_->sim();
-  auto bytes = sim.in_fiber()
-                   ? sim.charge_scoped([&] { return vis::serialize_dataset(block); })
-                   : vis::serialize_dataset(block);
+  auto bytes =
+      sim.charge_scoped([&] { return vis::serialize_dataset(block); });
   (void)iteration;
   // Plain MPI message carrying the full payload (no RDMA pull).
   return job_->world(client_rank).send(bytes, server_of_client(client_rank),
@@ -61,8 +60,8 @@ void Damaris::server_loop(int server_index, int iterations) {
   const int per = config_.clients / config_.servers;
   const int first_client = server_index * per;
 
-  vis::MpiCommunicator plugin_comm(
-      *server_comms_[static_cast<std::size_t>(server_index)]);
+  mona::Communicator& plugin_comm =
+      *server_comms_[static_cast<std::size_t>(server_index)];
   render::FrameBuffer fb;
 
   std::vector<std::byte> buf(16 * 1024 * 1024);
@@ -80,14 +79,10 @@ void Damaris::server_loop(int server_index, int iterations) {
       for (std::uint64_t b = 0; b < sig[1]; ++b) {
         std::size_t got = 0;
         if (!world.recv(buf, client, kDataTag, &got).ok()) return;
-        blocks.push_back(sim.in_fiber()
-                             ? sim.charge_scoped([&] {
-                                 return vis::deserialize_dataset(
-                                     std::span<const std::byte>(buf.data(),
-                                                                got));
-                               })
-                             : vis::deserialize_dataset(std::span<const std::byte>(
-                                   buf.data(), got)));
+        blocks.push_back(sim.charge_scoped([&] {
+          return vis::deserialize_dataset(
+              std::span<const std::byte>(buf.data(), got));
+        }));
       }
     }
 

@@ -21,7 +21,6 @@
 #include "catalyst/catalyst.hpp"
 #include "des/time.hpp"
 #include "simmpi/simmpi.hpp"
-#include "vis/communicator.hpp"
 #include "vis/data.hpp"
 
 namespace colza::baselines {

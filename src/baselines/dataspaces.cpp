@@ -62,9 +62,8 @@ DataSpaces::DataSpaces(net::Network& net, Config config,
                   [&] { return vis::deserialize_dataset(blob); }));
             }
           }
-          vis::MpiCommunicator comm(*state->world);
-          auto r = catalyst::execute(config_.script, blocks, comm, state->fb,
-                                     version);
+          auto r = catalyst::execute(config_.script, blocks, *state->world,
+                                     state->fb, version);
           if (!r.has_value()) return r.status();
           Record rec;
           rec.version = version;

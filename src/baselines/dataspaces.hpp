@@ -19,7 +19,6 @@
 #include "catalyst/catalyst.hpp"
 #include "rpc/engine.hpp"
 #include "simmpi/simmpi.hpp"
-#include "vis/communicator.hpp"
 #include "vis/data.hpp"
 
 namespace colza::baselines {

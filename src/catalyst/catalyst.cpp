@@ -10,17 +10,6 @@ namespace colza::catalyst {
 
 namespace {
 
-// Runs `f` and charges its wall-clock cost to the calling fiber's virtual
-// clock (no-op outside a DES fiber, e.g. in plain unit tests).
-template <typename F>
-auto timed(F&& f) {
-  auto* sim = des::Simulation::current();
-  if (sim != nullptr && sim->in_fiber()) {
-    return sim->charge_scoped(std::forward<F>(f));
-  }
-  return f();
-}
-
 icet::Strategy strategy_from(const std::string& s, icet::Strategy dflt) {
   if (s == "tree") return icet::Strategy::tree;
   if (s == "binary-swap" || s == "bswap") return icet::Strategy::binary_swap;
@@ -146,15 +135,16 @@ PipelineScript PipelineScript::dwi() {
 
 Expected<ExecutionStats> execute(const PipelineScript& script,
                                  std::span<const vis::DataSet> blocks,
-                                 vis::Communicator& comm,
+                                 mona::Communicator& comm,
                                  render::FrameBuffer& fb,
                                  std::uint64_t iteration) {
+  des::Simulation& sim = comm.instance().sim();
   ExecutionStats stats;
   stats.blocks = blocks.size();
   for (const auto& b : blocks) stats.input_bytes += vis::dataset_byte_size(b);
 
   // 1. Agree on global bounds so every rank frames the same camera.
-  vis::Aabb local = timed([&] {
+  vis::Aabb local = sim.charge_scoped([&] {
     vis::Aabb bounds;
     for (const auto& b : blocks) {
       const vis::Aabb bb = vis::dataset_bounds(b);
@@ -190,7 +180,7 @@ Expected<ExecutionStats> execute(const PipelineScript& script,
   icet::CompositeOp op = icet::CompositeOp::closest_depth;
 
   if (script.mode == RenderMode::isosurface) {
-    timed([&] {
+    sim.charge_scoped([&] {
       for (const auto& block : blocks) {
         const auto* grid = std::get_if<vis::UniformGrid>(&block);
         if (grid == nullptr) continue;  // isosurface needs uniform grids
@@ -210,7 +200,7 @@ Expected<ExecutionStats> execute(const PipelineScript& script,
       }
     });
   } else if (script.mode == RenderMode::slice) {
-    timed([&] {
+    sim.charge_scoped([&] {
       const vis::Vec3 origin = script.slice_origin == vis::Vec3{0, 0, 0}
                                    ? global.center()
                                    : script.slice_origin;
@@ -226,7 +216,7 @@ Expected<ExecutionStats> execute(const PipelineScript& script,
     });
   } else {
     op = icet::CompositeOp::over;
-    timed([&] {
+    sim.charge_scoped([&] {
       // Merge this rank's unstructured blocks, resample, raycast.
       std::vector<vis::UnstructuredGrid> ugrids;
       for (const auto& block : blocks) {
@@ -253,8 +243,7 @@ Expected<ExecutionStats> execute(const PipelineScript& script,
   }
 
   // 3. Parallel image compositing (the one communication-heavy step).
-  auto vt = icet::make_vtable(comm);
-  auto r = icet::composite(fb, vt, script.strategy, op, /*root=*/0);
+  auto r = icet::composite(fb, comm, script.strategy, op, /*root=*/0);
   if (!r.has_value()) return r.status();
   stats.composite_bytes = r->bytes_sent + r->bytes_received;
 
@@ -264,7 +253,7 @@ Expected<ExecutionStats> execute(const PipelineScript& script,
     if (auto pos = path.find("{}"); pos != std::string::npos) {
       path.replace(pos, 2, std::to_string(iteration));
     }
-    timed([&] { fb.write_ppm(path); });
+    sim.charge_scoped([&] { fb.write_ppm(path); });
     stats.wrote_image = true;
   }
   return stats;

@@ -1,12 +1,14 @@
 // Catalyst-style in situ pipelines: a declarative script (the stand-in for a
 // Python script exported from ParaView, S III-A) plus an execution engine
-// that runs filters, local rendering, and parallel image compositing over an
-// abstract vis::Communicator.
+// that runs filters, local rendering, and parallel image compositing over a
+// mona::Communicator.
 //
 // The engine is transport-agnostic by construction: hand it a communicator
-// backed by MoNA and it runs elastically inside Colza; hand it one backed by
-// simmpi and it is the paper's "MPI" baseline. Nothing below this line knows
-// which it got -- that is the paper's central software claim.
+// built from a frozen SSG view and it runs elastically inside Colza (the
+// paper's vtkMonaController); hand it a simmpi world, which is the same
+// communicator type with a vendor profile, and it is the paper's "MPI"
+// baseline. Nothing below this line knows which it got -- that is the
+// paper's central software claim.
 #pragma once
 
 #include <array>
@@ -18,8 +20,8 @@
 #include "common/json.hpp"
 #include "common/status.hpp"
 #include "icet/icet.hpp"
+#include "mona/mona.hpp"
 #include "render/render.hpp"
-#include "vis/communicator.hpp"
 #include "vis/data.hpp"
 
 namespace colza::catalyst {
@@ -85,10 +87,10 @@ struct ExecutionStats {
 // Runs the pipeline over this rank's staged blocks; collective over `comm`
 // (every member must call it with the same script and iteration). On return,
 // rank 0's `fb` holds the composited image. Local compute is charged to the
-// virtual clock when called from a DES fiber.
+// virtual clock of `comm`'s simulation when called from a DES fiber.
 Expected<ExecutionStats> execute(const PipelineScript& script,
                                  std::span<const vis::DataSet> blocks,
-                                 vis::Communicator& comm,
+                                 mona::Communicator& comm,
                                  render::FrameBuffer& fb,
                                  std::uint64_t iteration = 0);
 

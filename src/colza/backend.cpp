@@ -104,8 +104,7 @@ Status StagedBlockStore::for_each_verified(
     };
     Status s;
     try {
-      s = sim.in_fiber() ? sim.charge_scoped(verify_then_use)
-                         : verify_then_use();
+      s = sim.charge_scoped(verify_then_use);
     } catch (const CorruptBlock&) {
       return Status::Corrupt("block " + std::to_string(key.first) +
                                  " field '" + key.second +

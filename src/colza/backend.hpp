@@ -80,9 +80,9 @@ class StagedBlockStore {
   // Every block of `iteration`, re-verified against its checksum.
   [[nodiscard]] std::vector<BlockInfo> scan(std::uint64_t iteration) const;
   // Verify-then-use: for each block of `iteration`, checks the CRC and runs
-  // `fn` on the bytes inside one sim.charge_scoped call (when in a fiber),
-  // i.e. at one virtual instant, so a corruption event cannot slip between a
-  // block's verification and its use. Stops at the first mismatch with
+  // `fn` on the bytes inside one sim.charge_scoped call, i.e. at one virtual
+  // instant, so a corruption event cannot slip between a block's
+  // verification and its use. Stops at the first mismatch with
   // Corrupt (detail = block_id + 1; that block is not charged) or at the
   // first non-ok status from `fn`. An exception from `fn` propagates
   // uncharged.

@@ -75,17 +75,16 @@ Status CatalystBackend::execute(std::uint64_t iteration) {
                                    e.what());
   }
 
-  vis::MonaCommunicator comm(comm_);
-  auto r = catalyst::execute(script_, parsed, comm, fb_, iteration);
+  auto r = catalyst::execute(script_, parsed, *comm_, fb_, iteration);
   if (!r.has_value()) return r.status();
 
   Record rec;
   rec.iteration = iteration;
-  rec.comm_size = comm.size();
+  rec.comm_size = comm_->size();
   rec.comm_context = comm_->context();
   rec.execute_time = sim.now() - t0;
   rec.stats = *r;
-  rec.image_hash = comm.rank() == 0 ? fb_.content_hash() : 0;
+  rec.image_hash = comm_->rank() == 0 ? fb_.content_hash() : 0;
   records_.push_back(rec);
   return Status::Ok();
 }

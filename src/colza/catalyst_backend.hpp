@@ -16,7 +16,6 @@
 #include "colza/backend.hpp"
 #include "des/time.hpp"
 #include "render/render.hpp"
-#include "vis/communicator.hpp"
 
 namespace colza {
 

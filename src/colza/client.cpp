@@ -377,12 +377,8 @@ Status DistributedPipelineHandle::stage(std::uint64_t iteration,
                                         const vis::DataSet& dataset,
                                         std::string field_name) {
   auto& sim = client_->process().sim();
-  std::vector<std::byte> bytes;
-  if (sim.in_fiber()) {
-    bytes = sim.charge_scoped([&] { return vis::serialize_dataset(dataset); });
-  } else {
-    bytes = vis::serialize_dataset(dataset);
-  }
+  std::vector<std::byte> bytes =
+      sim.charge_scoped([&] { return vis::serialize_dataset(dataset); });
   return stage(iteration, block_id, bytes, std::move(field_name));
 }
 

@@ -46,9 +46,6 @@ namespace colza::des {
 struct SimConfig {
   std::uint64_t seed = 42;
   std::size_t default_stack_size = 512 * 1024;
-  // Multiplier applied by charge_scoped to measured wall time before
-  // charging, to model faster/slower simulated cores. 1.0 = host speed.
-  double compute_time_scale = 1.0;
   // Reproducibility switch for the chaos/replay harness: when nonzero,
   // charge_scoped ignores the wall clock and charges exactly this duration
   // per call. The work still runs (its results are real); only its modeled
@@ -140,11 +137,13 @@ class Simulation {
   // (Semantically sleep_for; separate so traces can label compute spans.)
   void charge(Duration d);
 
-  // Run `work` for real, measure it, charge measured * compute_time_scale.
+  // Run `work` for real, measure it, charge the measured host time.
   // Returns work's result. The measurement is clean because nothing else
-  // runs concurrently on the host thread.
+  // runs concurrently on the host thread. Outside a fiber (plain unit
+  // tests, setup code) `work` just runs and nothing is charged.
   template <typename F>
   auto charge_scoped(F&& work) {
+    if (!in_fiber()) return work();
     if (config_.fixed_scoped_charge > 0) {
       if constexpr (std::is_void_v<std::invoke_result_t<F>>) {
         work();
@@ -159,10 +158,10 @@ class Simulation {
     const std::uint64_t t0 = wall_ns();
     if constexpr (std::is_void_v<std::invoke_result_t<F>>) {
       work();
-      charge(scaled(wall_ns() - t0));
+      charge(wall_ns() - t0);
     } else {
       auto result = work();
-      charge(scaled(wall_ns() - t0));
+      charge(wall_ns() - t0);
       return result;
     }
   }
@@ -249,10 +248,6 @@ class Simulation {
   void fiber_finished(Fiber* f);
   bool step();  // process one event; false if queue empty
   void check_deadlock() const;
-  [[nodiscard]] Duration scaled(std::uint64_t wall) const noexcept {
-    return static_cast<Duration>(static_cast<double>(wall) *
-                                 config_.compute_time_scale);
-  }
   static std::uint64_t wall_ns() noexcept;
 
   SimConfig config_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/simd.hpp"
 #include "obs/trace.hpp"
@@ -51,71 +50,29 @@ inline void composite_pixel(float* dst_rgba, float* dst_depth,
   }
 }
 
-// Fixed-size exchange helper: sends `payload` (length prefix included by the
-// caller's framing) and receives the partner's into `buf`.
+// Point-to-point exchange over the compositing communicator: counts the
+// bytes moved and passes a transport failure back unchanged.
 struct Channel {
-  const CommVTable* comm;
+  mona::Communicator* comm;
   CompositeStats* stats;
 
   Status send(std::span<const std::byte> data, int dest, int tag) const {
-    const int rc = comm->send(comm->ctx, data.data(), data.size(), dest, tag);
-    if (rc != 0) return Status(static_cast<StatusCode>(rc), "icet: send failed");
+    Status s = comm->send(data, dest, static_cast<mona::Tag>(tag));
+    if (!s.ok()) return s;
     stats->bytes_sent += data.size();
     return Status::Ok();
   }
   Status recv(std::vector<std::byte>& buf, int source, int tag) const {
     std::size_t received = 0;
-    const int rc =
-        comm->recv(comm->ctx, buf.data(), buf.size(), source, tag, &received);
-    if (rc != 0) return Status(static_cast<StatusCode>(rc), "icet: recv failed");
+    Status s = comm->recv(buf, source, static_cast<mona::Tag>(tag), &received);
+    if (!s.ok()) return s;
     buf.resize(received);
     stats->bytes_received += received;
     return Status::Ok();
   }
 };
 
-}  // namespace
-
-// ---------------------------------------------------------------- vtable
-
-namespace {
-
-struct VisCtx {
-  vis::Communicator* comm;
-};
-
-int vt_rank(void* ctx) { return static_cast<VisCtx*>(ctx)->comm->rank(); }
-int vt_size(void* ctx) { return static_cast<VisCtx*>(ctx)->comm->size(); }
-int vt_send(void* ctx, const void* data, std::size_t bytes, int dest,
-            int tag) {
-  auto* c = static_cast<VisCtx*>(ctx);
-  const auto* p = static_cast<const std::byte*>(data);
-  return static_cast<int>(c->comm->send({p, bytes}, dest, tag).code());
-}
-int vt_recv(void* ctx, void* data, std::size_t bytes, int source, int tag,
-            std::size_t* received) {
-  auto* c = static_cast<VisCtx*>(ctx);
-  auto* p = static_cast<std::byte*>(data);
-  return static_cast<int>(c->comm->recv({p, bytes}, source, tag, received).code());
-}
-
-}  // namespace
-
-CommVTable make_vtable(vis::Communicator& comm) {
-  // The context must outlive the vtable, so contexts live in a static
-  // registry keyed by communicator address: re-adapting a communicator is an
-  // O(1) lookup, and a new communicator reusing a freed address replaces the
-  // stale entry instead of growing the registry without bound.
-  static std::unordered_map<vis::Communicator*, std::unique_ptr<VisCtx>>
-      registry;
-  auto& slot = registry[&comm];
-  if (slot == nullptr) slot = std::make_unique<VisCtx>(VisCtx{&comm});
-  return CommVTable{slot.get(), vt_rank, vt_size, vt_send, vt_recv};
-}
-
 // ---------------------------------------------------------------- encoding
-
-namespace {
 
 // All 8 pixels starting at `p` inactive? The contiguous depth compare
 // vectorizes; the strided alpha check only runs for blocks that pass it
@@ -364,22 +321,14 @@ Status run_binary_swap(render::FrameBuffer& fb, const Channel& ch,
     for (int r = 0; r < pof2; ++r) {
       if (r == root) continue;
       buf.resize(pixels * 5 * sizeof(float) + (pixels + 2) * 8);
-      std::uint64_t r_begin = 0;
-      std::span<std::byte> header{reinterpret_cast<std::byte*>(&r_begin), 8};
+      Status s = ch.recv(buf, r, kTagBase + 80);
+      if (!s.ok()) return s;
       // Each rank prefixes its slice offset.
-      std::size_t received = 0;
-      const int rc = ch.comm->recv(ch.comm->ctx, buf.data(), buf.size(), r,
-                                   kTagBase + 80, &received);
-      if (rc != 0)
-        return Status(static_cast<StatusCode>(rc),
-                      "icet: collect recv failed");
-      ch.stats->bytes_received += received;
-      buf.resize(received);
+      std::uint64_t r_begin = 0;
       std::memcpy(&r_begin, buf.data(), 8);
       // The slice replaces root's pixels outright (it is fully composited).
       std::span<const std::byte> body{buf.data() + 8, buf.size() - 8};
       composite_sparse(fb, r_begin, body, op);
-      (void)header;
     }
   } else {
     std::vector<std::byte> payload;
@@ -396,11 +345,11 @@ Status run_binary_swap(render::FrameBuffer& fb, const Channel& ch,
 }  // namespace
 
 Expected<CompositeStats> composite(render::FrameBuffer& fb,
-                                   const CommVTable& comm, Strategy strategy,
+                                   mona::Communicator& comm, Strategy strategy,
                                    CompositeOp op, int root) {
   CompositeStats stats;
-  const int rank = comm.rank(comm.ctx);
-  const int size = comm.size(comm.ctx);
+  const int rank = comm.rank();
+  const int size = comm.size();
   if (size <= 0) return Status::InvalidArgument("icet: empty communicator");
   if (root < 0 || root >= size)
     return Status::InvalidArgument("icet: bad root");

@@ -1,10 +1,10 @@
 // Image compositor -- the IceT substitute.
 //
-// Like IceT, the compositor is decoupled from any concrete communication
-// library through a C-style function-pointer vtable (IceTCommunicator); the
-// paper's Colza work provides a MoNA-backed implementation of that struct
-// (S II-D). make_vtable() adapts any vis::Communicator, so the same code
-// composites over MoNA or simmpi.
+// IceT composites over whatever communicator it is handed (IceTCommunicator);
+// the paper's Colza work provides a MoNA-backed one (S II-D). Here that seam
+// is mona::Communicator itself: inside Colza it is built from a frozen SSG
+// view, and in the MPI baselines it is a simmpi world (a mona::Communicator
+// with a vendor profile), so the same code composites over either.
 //
 // Strategies:
 //   * tree        -- binary-tree reduction; each round half the ranks send
@@ -30,26 +30,10 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "mona/mona.hpp"
 #include "render/render.hpp"
-#include "vis/communicator.hpp"
 
 namespace colza::icet {
-
-struct CommVTable {
-  void* ctx = nullptr;
-  int (*rank)(void* ctx) = nullptr;
-  int (*size)(void* ctx) = nullptr;
-  // Both return 0 on success; a nonzero return is the StatusCode of the
-  // underlying transport failure, so a peer that died mid-collective
-  // surfaces as a retriable `unreachable` instead of a fatal `internal`.
-  int (*send)(void* ctx, const void* data, std::size_t bytes, int dest,
-              int tag) = nullptr;
-  int (*recv)(void* ctx, void* data, std::size_t bytes, int source, int tag,
-              std::size_t* received) = nullptr;
-};
-
-// Adapts a vis::Communicator (MoNA- or MPI-backed) to the vtable.
-[[nodiscard]] CommVTable make_vtable(vis::Communicator& comm);
 
 enum class Strategy : std::uint8_t { tree, binary_swap, direct };
 enum class CompositeOp : std::uint8_t { closest_depth, over };
@@ -62,9 +46,11 @@ struct CompositeStats {
 
 // Composites the per-rank framebuffers; on return the root's `fb` holds the
 // final image (other ranks' buffers are clobbered). All ranks must call with
-// identically-sized framebuffers.
+// identically-sized framebuffers. A transport failure is returned as the
+// transport reported it, so a peer that died mid-collective surfaces as a
+// retriable `unreachable` and a revoked communicator as `aborted`.
 Expected<CompositeStats> composite(render::FrameBuffer& fb,
-                                   const CommVTable& comm, Strategy strategy,
+                                   mona::Communicator& comm, Strategy strategy,
                                    CompositeOp op, int root = 0);
 
 // ---- building blocks, exposed for tests and benches ----------------------

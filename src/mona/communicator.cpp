@@ -760,18 +760,6 @@ Request Communicator::ibarrier() {
   return async("mona-ibarrier", [this] { return barrier(); });
 }
 
-Request Communicator::ibcast(std::span<std::byte> data, int root) {
-  return async("mona-ibcast", [this, data, root] { return bcast(data, root); });
-}
-
-Request Communicator::ireduce(std::span<const std::byte> send,
-                              std::span<std::byte> recv, std::size_t count,
-                              const ReduceOp& op, int root) {
-  return async("mona-ireduce", [this, send, recv, count, op, root] {
-    return reduce(send, recv, count, op, root);
-  });
-}
-
 Request Communicator::iallreduce(std::span<const std::byte> send,
                                  std::span<std::byte> recv, std::size_t count,
                                  const ReduceOp& op) {

@@ -333,9 +333,6 @@ class Communicator : public std::enable_shared_from_this<Communicator> {
 
   // ---- non-blocking collectives --------------------------------------------
   Request ibarrier();
-  Request ibcast(std::span<std::byte> data, int root);
-  Request ireduce(std::span<const std::byte> send, std::span<std::byte> recv,
-                  std::size_t count, const ReduceOp& op, int root);
   Request iallreduce(std::span<const std::byte> send,
                      std::span<std::byte> recv, std::size_t count,
                      const ReduceOp& op);

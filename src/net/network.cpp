@@ -187,7 +187,7 @@ des::Duration Network::message_delay(NodeId src, NodeId dst, std::size_t bytes,
              static_cast<double>(bytes_over(p.rdma_bandwidth_gbps, bytes)) *
              p.rendezvous_byte_factor);
   }
-  return d + config_.wire_latency;
+  return d;
 }
 
 void Network::transmit(Process& src, ProcId dst, const std::string& box,
@@ -231,7 +231,7 @@ void Network::transmit(Process& src, ProcId dst, const std::string& box,
       Node& n = nodes_[src.node()];
       const des::Time start = std::max(sim_->now(), n.nic_free);
       n.nic_free = start + ser;
-      deliver_at = std::max(deliver_at, n.nic_free + config_.wire_latency);
+      deliver_at = std::max(deliver_at, n.nic_free);
     }
     {
       Node& n = nodes_[target->node()];
@@ -275,8 +275,8 @@ des::Duration Network::rdma_delay(Process& self, ProcId owner,
     return p.rdma_setup / 4 + p.shm_latency +
            bytes_over(p.shm_bandwidth_gbps, bytes);
   }
-  const des::Duration base = p.rdma_setup + 2 * config_.wire_latency +
-                             bytes_over(p.rdma_bandwidth_gbps, bytes);
+  const des::Duration base =
+      p.rdma_setup + bytes_over(p.rdma_bandwidth_gbps, bytes);
   des::Time done_at = sim_->now() + base;
   // NIC occupancy on both sides: queueing-only (a solo transfer completes in
   // `base`; concurrent ones serialize on the shared NICs).

@@ -71,11 +71,6 @@ class FaultInjector {
 };
 
 struct NetworkConfig {
-  // Hardware wire latency between distinct nodes (added to every transfer).
-  // Default 0: the per-library Profile sw_latency values are calibrated as
-  // FULL one-way path costs (Table I fit); raise this to study additional
-  // topology-induced latency.
-  des::Duration wire_latency = des::nanoseconds(0);
   // Raw NIC serialization bandwidth per node (shared by all processes and
   // all libraries on that node); creates incast contention.
   double nic_bandwidth_gbps = 16.0;

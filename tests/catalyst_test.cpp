@@ -1,5 +1,5 @@
 // Tests for the Catalyst-style pipeline layer: script parsing, presets, and
-// distributed execution over MoNA- and MPI-backed communicators (the
+// distributed execution over a MoNA communicator and a simmpi world (the
 // dependency-injection equivalence at the heart of the paper).
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "mona/mona.hpp"
 #include "net/network.hpp"
 #include "simmpi/simmpi.hpp"
-#include "vis/communicator.hpp"
 
 namespace colza::catalyst {
 namespace {
@@ -112,8 +111,7 @@ RunResult run_distributed(int n, const PipelineScript& script) {
             vals[block.point_index(ii, j, k)] =
                 (block.point(ii, j, k) - vis::Vec3{8, 8, 8 + 15.0f * static_cast<float>(i)}).norm();
       std::vector<vis::DataSet> blocks{vis::DataSet{block}};
-      vis::MonaCommunicator comm(comms[static_cast<std::size_t>(i)]);
-      auto r = execute(script, blocks, comm,
+      auto r = execute(script, blocks, *comms[static_cast<std::size_t>(i)],
                        fbs[static_cast<std::size_t>(i)], 1);
       ASSERT_TRUE(r.has_value()) << r.status().to_string();
       if (i == 0) {
@@ -183,8 +181,7 @@ TEST(CatalystExecute, MonaAndMpiBackendsProduceSameImage) {
                vis::Vec3{8, 8, 8 + 15.0f * static_cast<float>(rank)})
                   .norm();
     std::vector<vis::DataSet> blocks{vis::DataSet{block}};
-    vis::MpiCommunicator comm(world);
-    auto r = execute(s, blocks, comm, fbs[static_cast<std::size_t>(rank)], 1);
+    auto r = execute(s, blocks, world, fbs[static_cast<std::size_t>(rank)], 1);
     ASSERT_TRUE(r.has_value());
     if (rank == 0) mpi_hash = fbs[0].content_hash();
   });
@@ -215,8 +212,7 @@ TEST(CatalystExecute, VolumeModeOverUnstructured) {
     g.cell_data.add(
         vis::DataArray::make<float>("v", std::vector<float>{0.8f, 0.6f}));
     std::vector<vis::DataSet> blocks{vis::DataSet{g}};
-    vis::MonaCommunicator c(comm);
-    auto r = execute(s, blocks, c, fb, 1);
+    auto r = execute(s, blocks, *comm, fb, 1);
     ASSERT_TRUE(r.has_value()) << r.status().to_string();
     EXPECT_EQ(r->cells_processed, 2u);
     ok = true;
@@ -255,8 +251,8 @@ TEST(CatalystExecute, EmptyBlocksStillCollective) {
       if (i == 1) {
         blocks.emplace_back(sphere_block(12, {0, 0, 0}, {6, 6, 6}));
       }
-      vis::MonaCommunicator c(comms[static_cast<std::size_t>(i)]);
-      auto r = execute(s, blocks, c, fbs[static_cast<std::size_t>(i)], 1);
+      auto r = execute(s, blocks, *comms[static_cast<std::size_t>(i)],
+                       fbs[static_cast<std::size_t>(i)], 1);
       ASSERT_TRUE(r.has_value());
       ++done;
     });
@@ -280,9 +276,8 @@ TEST(CatalystExecute, SavesImageWhenConfigured) {
   p.spawn("rank", [&] {
     std::vector<vis::DataSet> blocks{
         vis::DataSet{sphere_block(12, {0, 0, 0}, {6, 6, 6})}};
-    vis::MonaCommunicator c(comm);
     render::FrameBuffer fb;
-    auto r = execute(s, blocks, c, fb, 42);
+    auto r = execute(s, blocks, *comm, fb, 42);
     ASSERT_TRUE(r.has_value());
     EXPECT_TRUE(r->wrote_image);
   });
@@ -308,10 +303,9 @@ TEST(CatalystExecute, ChargesVirtualTimeForCompute) {
   p.spawn("rank", [&] {
     std::vector<vis::DataSet> blocks{
         vis::DataSet{sphere_block(24, {0, 0, 0}, {12, 12, 12})}};
-    vis::MonaCommunicator c(comm);
     render::FrameBuffer fb;
     const des::Time t0 = sim.now();
-    ASSERT_TRUE(execute(s, blocks, c, fb, 1).has_value());
+    ASSERT_TRUE(execute(s, blocks, *comm, fb, 1).has_value());
     elapsed = sim.now() - t0;
   });
   sim.run();

@@ -93,6 +93,15 @@ TEST(Simulation, ChargeScopedRunsWorkAndAdvancesClock) {
   EXPECT_GT(result, 0);
 }
 
+TEST(Simulation, ChargeScopedOutsideFiberRunsWorkAndChargesNothing) {
+  Simulation sim;
+  bool ran = false;
+  EXPECT_EQ(sim.charge_scoped([] { return 7; }), 7);
+  sim.charge_scoped([&] { ran = true; });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), 0u);
+}
+
 TEST(Simulation, YieldInterleavesFibers) {
   Simulation sim;
   std::string trace;

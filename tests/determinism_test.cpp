@@ -24,7 +24,6 @@
 #include "mona/mona.hpp"
 #include "net/network.hpp"
 #include "render/render.hpp"
-#include "vis/communicator.hpp"
 #include "vis/filters.hpp"
 #include "viewer/viewer.hpp"
 
@@ -70,12 +69,11 @@ RunRecord run_pipeline(std::uint64_t seed) {
       apps::mandelbulb_block(mb, kRanks - 1).bounds().hi);
   const render::Camera camera = render::Camera::framing(domain);
 
-  std::vector<std::unique_ptr<vis::MonaCommunicator>> comms(kRanks);
+  std::vector<std::shared_ptr<mona::Communicator>> comms(kRanks);
   std::vector<render::FrameBuffer> fbs(kRanks);
   for (int i = 0; i < kRanks; ++i) {
     comms[static_cast<std::size_t>(i)] =
-        std::make_unique<vis::MonaCommunicator>(
-            insts[static_cast<std::size_t>(i)]->comm_create(addrs));
+        insts[static_cast<std::size_t>(i)]->comm_create(addrs);
     procs[static_cast<std::size_t>(i)]->spawn(
         "pipeline" + std::to_string(i), [&, i] {
           const auto r = static_cast<std::size_t>(i);
@@ -99,8 +97,8 @@ RunRecord run_pipeline(std::uint64_t seed) {
           sim.charge(des::milliseconds(2));
           rec.trace.emplace_back(sim.now(), i, "rendered");
 
-          auto vt = icet::make_vtable(*comms[r]);
-          auto stats = icet::composite(fbs[r], vt, icet::Strategy::binary_swap,
+          auto stats = icet::composite(fbs[r], *comms[r],
+                                       icet::Strategy::binary_swap,
                                        icet::CompositeOp::closest_depth);
           ASSERT_TRUE(stats.has_value()) << stats.status().to_string();
           rec.trace.emplace_back(sim.now(), i, "composited");

@@ -10,7 +10,6 @@
 #include "icet/icet.hpp"
 #include "mona/mona.hpp"
 #include "net/network.hpp"
-#include "vis/communicator.hpp"
 
 namespace colza::icet {
 namespace {
@@ -140,6 +139,27 @@ TEST(Operators, OverIsOrderIndependentGivenDepths) {
 
 // --------------------------------------------------------------- strategies
 
+// `n` processes, `per_node` to a node, each holding a MoNA communicator over
+// all of them.
+struct Ranks {
+  des::Simulation sim;
+  net::Network net{sim};
+  std::vector<net::Process*> procs;
+  std::vector<std::unique_ptr<mona::Instance>> insts;
+  std::vector<std::shared_ptr<mona::Communicator>> comms;
+
+  Ranks(int n, int per_node) {
+    std::vector<net::ProcId> addrs;
+    for (int i = 0; i < n; ++i) {
+      auto& p = net.create_process(static_cast<net::NodeId>(i / per_node));
+      procs.push_back(&p);
+      insts.push_back(std::make_unique<mona::Instance>(p));
+      addrs.push_back(p.id());
+    }
+    for (auto& inst : insts) comms.push_back(inst->comm_create(addrs));
+  }
+};
+
 class IcetStrategy
     : public ::testing::TestWithParam<std::tuple<Strategy, int>> {};
 
@@ -158,56 +178,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(IcetStrategy, BandsCompositeToFullImage) {
   const auto [strategy, n] = GetParam();
-  des::Simulation sim;
-  net::Network net(sim);
-  std::vector<net::Process*> procs;
-  std::vector<std::unique_ptr<mona::Instance>> insts;
-  std::vector<net::ProcId> addrs;
-  for (int i = 0; i < n; ++i) {
-    auto& p = net.create_process(static_cast<net::NodeId>(i / 4));
-    procs.push_back(&p);
-    insts.push_back(std::make_unique<mona::Instance>(p));
-    addrs.push_back(p.id());
-  }
+  Ranks w(n, /*per_node=*/4);
   bool root_ok = false;
-  std::vector<std::unique_ptr<vis::MonaCommunicator>> comms(
-      static_cast<std::size_t>(n));
   std::vector<render::FrameBuffer> fbs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto& fb = fbs[static_cast<std::size_t>(i)];
     fb.resize(32, 32);
     paint_band(fb, i, n);
-    comms[static_cast<std::size_t>(i)] = std::make_unique<vis::MonaCommunicator>(
-        insts[static_cast<std::size_t>(i)]->comm_create(addrs));
-    procs[static_cast<std::size_t>(i)]->spawn(
+    w.procs[static_cast<std::size_t>(i)]->spawn(
         "compose" + std::to_string(i), [&, i, strategy = strategy, n = n] {
-          auto vt = make_vtable(*comms[static_cast<std::size_t>(i)]);
-          auto r = composite(fbs[static_cast<std::size_t>(i)], vt, strategy,
+          auto r = composite(fbs[static_cast<std::size_t>(i)],
+                             *w.comms[static_cast<std::size_t>(i)], strategy,
                              CompositeOp::closest_depth);
           ASSERT_TRUE(r.has_value()) << r.status().to_string();
           if (i == 0) root_ok = check_bands(fbs[0], n);
         });
   }
-  sim.run();
+  w.sim.run();
   EXPECT_TRUE(root_ok);
 }
 
 TEST(Icet, StrategiesProduceIdenticalImages) {
   auto run = [](Strategy strategy) {
-    des::Simulation sim;
-    net::Network net(sim);
     constexpr int n = 6;
-    std::vector<std::unique_ptr<mona::Instance>> insts;
-    std::vector<net::Process*> procs;
-    std::vector<net::ProcId> addrs;
-    for (int i = 0; i < n; ++i) {
-      auto& p = net.create_process(static_cast<net::NodeId>(i));
-      procs.push_back(&p);
-      insts.push_back(std::make_unique<mona::Instance>(p));
-      addrs.push_back(p.id());
-    }
+    Ranks w(n, /*per_node=*/1);
     std::uint64_t hash = 0;
-    std::vector<std::unique_ptr<vis::MonaCommunicator>> comms(n);
     std::vector<render::FrameBuffer> fbs(n);
     for (int i = 0; i < n; ++i) {
       fbs[static_cast<std::size_t>(i)].resize(24, 24);
@@ -222,18 +217,15 @@ TEST(Icet, StrategiesProduceIdenticalImages) {
           fb.depth[p] = static_cast<float>(i + 1) / 10.0f;
         }
       }
-      comms[static_cast<std::size_t>(i)] =
-          std::make_unique<vis::MonaCommunicator>(
-              insts[static_cast<std::size_t>(i)]->comm_create(addrs));
-      procs[static_cast<std::size_t>(i)]->spawn("c", [&, i, strategy] {
-        auto vt = make_vtable(*comms[static_cast<std::size_t>(i)]);
-        auto r = composite(fbs[static_cast<std::size_t>(i)], vt, strategy,
+      w.procs[static_cast<std::size_t>(i)]->spawn("c", [&, i, strategy] {
+        auto r = composite(fbs[static_cast<std::size_t>(i)],
+                           *w.comms[static_cast<std::size_t>(i)], strategy,
                            CompositeOp::closest_depth);
         ASSERT_TRUE(r.has_value());
         if (i == 0) hash = fbs[0].content_hash();
       });
     }
-    sim.run();
+    w.sim.run();
     return hash;
   };
   const auto tree = run(Strategy::tree);
@@ -242,59 +234,39 @@ TEST(Icet, StrategiesProduceIdenticalImages) {
 }
 
 TEST(Icet, SingleRankIsNoop) {
-  des::Simulation sim;
-  net::Network net(sim);
-  auto& p = net.create_process(0);
-  mona::Instance inst(p);
-  auto comm = std::make_unique<vis::MonaCommunicator>(
-      inst.comm_create({p.id()}));
+  Ranks w(1, /*per_node=*/1);
   render::FrameBuffer fb(8, 8);
   fb.rgba[0] = 0.5f;
   const auto before = fb.content_hash();
-  p.spawn("c", [&] {
-    auto vt = make_vtable(*comm);
-    auto r = composite(fb, vt, Strategy::binary_swap,
+  w.procs[0]->spawn("c", [&] {
+    auto r = composite(fb, *w.comms[0], Strategy::binary_swap,
                        CompositeOp::closest_depth);
     ASSERT_TRUE(r.has_value());
   });
-  sim.run();
+  w.sim.run();
   EXPECT_EQ(fb.content_hash(), before);
 }
 
 TEST(Icet, SparseImagesSendFewBytes) {
   // Mostly-empty framebuffers must produce small messages (active-pixel
   // encoding at work).
-  des::Simulation sim;
-  net::Network net(sim);
   constexpr int n = 4;
-  std::vector<std::unique_ptr<mona::Instance>> insts;
-  std::vector<net::Process*> procs;
-  std::vector<net::ProcId> addrs;
-  for (int i = 0; i < n; ++i) {
-    auto& p = net.create_process(static_cast<net::NodeId>(i));
-    procs.push_back(&p);
-    insts.push_back(std::make_unique<mona::Instance>(p));
-    addrs.push_back(p.id());
-  }
+  Ranks w(n, /*per_node=*/1);
   std::uint64_t total_sent = 0;
-  std::vector<std::unique_ptr<vis::MonaCommunicator>> comms(n);
   std::vector<render::FrameBuffer> fbs(n);
   for (int i = 0; i < n; ++i) {
     fbs[static_cast<std::size_t>(i)].resize(128, 128);  // 16K pixels, 1 active
     auto& fb = fbs[static_cast<std::size_t>(i)];
     fb.rgba[static_cast<std::size_t>(i) * 4 + 3] = 1.0f;
-    comms[static_cast<std::size_t>(i)] =
-        std::make_unique<vis::MonaCommunicator>(
-            insts[static_cast<std::size_t>(i)]->comm_create(addrs));
-    procs[static_cast<std::size_t>(i)]->spawn("c", [&, i] {
-      auto vt = make_vtable(*comms[static_cast<std::size_t>(i)]);
-      auto r = composite(fbs[static_cast<std::size_t>(i)], vt, Strategy::tree,
+    w.procs[static_cast<std::size_t>(i)]->spawn("c", [&, i] {
+      auto r = composite(fbs[static_cast<std::size_t>(i)],
+                         *w.comms[static_cast<std::size_t>(i)], Strategy::tree,
                          CompositeOp::closest_depth);
       ASSERT_TRUE(r.has_value());
       total_sent += r->bytes_sent;
     });
   }
-  sim.run();
+  w.sim.run();
   // Raw would be 16K pixels * 20 B * 3 senders ~= 1 MB; sparse must be tiny.
   EXPECT_LT(total_sent, 4096u);
 }
@@ -303,38 +275,57 @@ TEST(Icet, SparseImagesSendFewBytes) {
 TEST(Icet, BinarySwapNonPow2RootOutsideGroup) {
   // size 5 => pof2 group {0..3}; root 4 exercises the composite-at-0 then
   // forward-to-root remap path.
-  des::Simulation sim;
-  net::Network net(sim);
   constexpr int n = 5;
-  std::vector<net::Process*> procs;
-  std::vector<std::unique_ptr<mona::Instance>> insts;
-  std::vector<net::ProcId> addrs;
-  for (int i = 0; i < n; ++i) {
-    auto& p = net.create_process(static_cast<net::NodeId>(i));
-    procs.push_back(&p);
-    insts.push_back(std::make_unique<mona::Instance>(p));
-    addrs.push_back(p.id());
-  }
-  std::vector<std::unique_ptr<vis::MonaCommunicator>> comms(n);
+  Ranks w(n, /*per_node=*/1);
   std::vector<render::FrameBuffer> fbs(n);
   bool root_ok = false;
   for (int i = 0; i < n; ++i) {
     fbs[static_cast<std::size_t>(i)].resize(16, 16);
     paint_band(fbs[static_cast<std::size_t>(i)], i, n);
-    comms[static_cast<std::size_t>(i)] =
-        std::make_unique<vis::MonaCommunicator>(
-            insts[static_cast<std::size_t>(i)]->comm_create(addrs));
-    procs[static_cast<std::size_t>(i)]->spawn("c", [&, i] {
-      auto vt = make_vtable(*comms[static_cast<std::size_t>(i)]);
-      auto r = composite(fbs[static_cast<std::size_t>(i)], vt,
+    w.procs[static_cast<std::size_t>(i)]->spawn("c", [&, i] {
+      auto r = composite(fbs[static_cast<std::size_t>(i)],
+                         *w.comms[static_cast<std::size_t>(i)],
                          Strategy::binary_swap, CompositeOp::closest_depth,
                          /*root=*/4);
       ASSERT_TRUE(r.has_value()) << r.status().to_string();
       if (i == 4) root_ok = check_bands(fbs[4], n);
     });
   }
-  sim.run();
+  w.sim.run();
   EXPECT_TRUE(root_ok);
+}
+
+TEST(Icet, RevokedCommunicatorFailsEveryRankWithTheTransportStatus) {
+  // Ranks 0-2 enter a binary swap and block on their partners; rank 3 is
+  // late. Revoking every rank's communicator meanwhile (what Colza does
+  // when a member fails) must fail each rank with MoNA's own status: the
+  // blocked ones through their pending receive, the late one at its first
+  // send. Nothing may be left waiting.
+  constexpr int n = 4;
+  Ranks w(n, /*per_node=*/1);
+  std::vector<render::FrameBuffer> fbs(n);
+  std::vector<Status> results(n);
+  for (int i = 0; i < n; ++i) {
+    fbs[static_cast<std::size_t>(i)].resize(16, 16);
+    paint_band(fbs[static_cast<std::size_t>(i)], i, n);
+    w.procs[static_cast<std::size_t>(i)]->spawn("c", [&, i] {
+      if (i == n - 1) w.sim.sleep_for(des::seconds(1));
+      results[static_cast<std::size_t>(i)] =
+          composite(fbs[static_cast<std::size_t>(i)],
+                    *w.comms[static_cast<std::size_t>(i)],
+                    Strategy::binary_swap, CompositeOp::closest_depth)
+              .status();
+    });
+  }
+  w.sim.schedule_at(des::milliseconds(500), [&] {
+    for (auto& c : w.comms) c->revoke();
+  });
+  w.sim.run();
+  for (int i = 0; i < n; ++i) {
+    const Status& s = results[static_cast<std::size_t>(i)];
+    EXPECT_EQ(s.code(), StatusCode::aborted) << "rank " << i;
+    EXPECT_EQ(s.message(), "mona: communicator revoked") << "rank " << i;
+  }
 }
 
 }  // namespace

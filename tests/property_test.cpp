@@ -16,7 +16,6 @@
 #include "icet/icet.hpp"
 #include "mona/mona.hpp"
 #include "net/network.hpp"
-#include "vis/communicator.hpp"
 #include "vis/filters.hpp"
 
 namespace colza {
@@ -81,18 +80,17 @@ TEST_P(IcetFuzz, AllStrategiesMatchSequentialReference) {
       insts.push_back(std::make_unique<mona::Instance>(p));
       addrs.push_back(p.id());
     }
-    std::vector<std::unique_ptr<vis::MonaCommunicator>> comms(
+    std::vector<std::shared_ptr<mona::Communicator>> comms(
         static_cast<std::size_t>(n));
     std::vector<render::FrameBuffer> fbs(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       comms[static_cast<std::size_t>(i)] =
-          std::make_unique<vis::MonaCommunicator>(
-              insts[static_cast<std::size_t>(i)]->comm_create(addrs));
+          insts[static_cast<std::size_t>(i)]->comm_create(addrs);
       fbs[static_cast<std::size_t>(i)] = images[static_cast<std::size_t>(i)];
       procs[static_cast<std::size_t>(i)]->spawn("c", [&, i, strategy] {
-        auto vt = icet::make_vtable(*comms[static_cast<std::size_t>(i)]);
-        auto r = icet::composite(fbs[static_cast<std::size_t>(i)], vt,
-                                 strategy, icet::CompositeOp::closest_depth);
+        auto r = icet::composite(fbs[static_cast<std::size_t>(i)],
+                                 *comms[static_cast<std::size_t>(i)], strategy,
+                                 icet::CompositeOp::closest_depth);
         ASSERT_TRUE(r.has_value());
       });
     }
